@@ -37,19 +37,17 @@ SRC_GCP = 2
 class Holding:
     """Tokens currently held on behalf of one write."""
 
-    __slots__ = ("dimm", "chip", "grants", "sources", "has_gcp")
+    __slots__ = ("dimm", "chip", "grants", "sources")
 
     def __init__(self, n_chips: int):
         self.dimm = 0.0
-        self.chip = np.zeros(n_chips, dtype=np.float64)
+        #: Per-chip LCP tokens held.
+        self.chip: List[float] = [0.0] * n_chips
         #: chip_id -> live GCP grant for that segment.
         self.grants: Dict[int, GCPGrant] = {}
         #: Per-chip power source, fixed for the write's lifetime once
         #: chosen ("one segment uses either LCP or GCP", Section 4.1).
-        self.sources = np.zeros(n_chips, dtype=np.int8)
-        #: True iff any entry of ``sources`` is SRC_GCP — maintained so
-        #: the vectorized all-LCP fast path can skip scanning sources.
-        self.has_gcp = False
+        self.sources: List[int] = [SRC_NONE] * n_chips
 
     @property
     def total(self) -> float:
@@ -87,12 +85,9 @@ class PowerManager:
         self.pwl = pwl
         self.mr_grouping = mr_grouping
         self.reset_set_ratio = config.pcm.reset_set_power_ratio
-        #: Simulation kernel: the reference kernel arbitrates chip
-        #: tokens one chip at a time; the vectorized kernel batches the
-        #: whole iteration through a :class:`ChipTokenLedger` and the
-        #: write's cached allocation profile. Results are identical.
+        #: Simulation kernel the controller plans writes with. Token
+        #: arbitration is one scalar path for both kernels.
         self.kernel = get_kernel(config.kernel)
-        self._vec = self.kernel.vectorized
 
         #: The DIMM budget is *input power* (Eq. 6): LCP-delivered tokens
         #: draw 1/E_LCP each, GCP-delivered tokens 1/E_GCP each.
@@ -106,13 +101,17 @@ class PowerManager:
                 max_output_tokens=config.power.gcp_output_tokens(dimm.n_chips),
             )
         self.chip_ledger: Optional[ChipTokenLedger] = None
-        if self._vec and self.enforce_chip:
+        if self.enforce_chip:
             self.chip_ledger = ChipTokenLedger(
-                [chip.budget for chip in dimm.chips]
+                chip.budget for chip in dimm.chips
             )
-        #: Read-only zero source vector for writes with no prior holding.
-        self._no_sources = np.zeros(dimm.n_chips, dtype=np.int8)
         self._holdings: Dict[int, Holding] = {}
+        #: Token-state epoch, bumped by every commit and every release.
+        #: Whether an acquisition fits is a pure function of the pool
+        #: balances, so a write that failed at the current epoch
+        #: (``WriteOperation.blocked``) would fail again the same way.
+        self.epoch = 0
+        self._fail_key = ""
         #: Optional telemetry observer (:class:`repro.obs.Telemetry`);
         #: emits are guarded so the untraced path stays hot.
         self.obs = None
@@ -154,6 +153,8 @@ class PowerManager:
         """
         if write.n_changed == 0:
             return True
+        if self._still_blocked(write):
+            return False
         if self._try_acquire(write, 0, now):
             return True
         if self.ipm and self.mr_splits > 1 and write.mr_splits == 1:
@@ -163,6 +164,7 @@ class PowerManager:
             if self._try_acquire(write, 0, now):
                 return True
             # Leave the MR plan in place; it can only lower the demand.
+        write.blocked = (self.epoch, self._fail_key)
         return False
 
     def try_resume(self, write: WriteOperation, now: int) -> bool:
@@ -175,14 +177,41 @@ class PowerManager:
         from scratch — a stalled write has no pulses in flight, so
         re-routing its segments is safe and prevents livelock.
         """
+        if self._still_blocked(write):
+            return False
         if self._try_acquire(write, write.current_iteration, now):
             return True
         holding = self._holdings.get(write.write_id)
-        if holding is not None and holding.sources.any():
-            holding.sources[:] = SRC_NONE
-            holding.has_gcp = False
-            return self._try_acquire(write, write.current_iteration, now)
+        if holding is not None and any(holding.sources):
+            holding.sources = [SRC_NONE] * len(holding.sources)
+            if self._try_acquire(write, write.current_iteration, now):
+                return True
+        write.blocked = (self.epoch, self._fail_key)
         return False
+
+    def _still_blocked(self, write: WriteOperation) -> bool:
+        """Charge and report a failure that still stands.
+
+        A write that failed at the current epoch, with its re-planning
+        (Multi-RESET, re-routed sources) already done, would fail again
+        on the same constraint, so this charges that constraint's
+        ``fail_counts`` key without planning the acquisition again.
+        """
+        blocked = write.blocked
+        if blocked is not None and blocked[0] == self.epoch:
+            self.fail_counts[blocked[1]] += 1
+            return True
+        return False
+
+    def charge_blocked(
+        self, writes: List[WriteOperation], times: int = 1
+    ) -> None:
+        """Charge each write's standing failure ``times`` more times —
+        what retrying them costs while no pool balance has changed (a
+        negative ``times`` takes such charges back)."""
+        fail_counts = self.fail_counts
+        for write in writes:
+            fail_counts[write.blocked[1]] += times
 
     def required_rounds(self, write: WriteOperation) -> int:
         """How many sequential rounds a write must be split into so each
@@ -212,6 +241,74 @@ class PowerManager:
                 rounds = max(rounds, math.ceil(max_chip / (seg_cap * groups)))
         return rounds
 
+    def fits_idle(self, write: WriteOperation) -> bool:
+        """Whether every iteration of ``write`` fits an idle DIMM.
+
+        :meth:`required_rounds` sizes rounds for balanced Multi-RESET
+        groups, but position grouping can load one chip's group well
+        past its share; a round that does not fit the empty pools can
+        never issue (or never finish), and a write burst then blocks
+        reads forever. Checks the plan :meth:`try_issue` settles on —
+        the Multi-RESET split when the whole RESET does not fit — with
+        fresh segment routing, and re-plans nothing.
+        """
+        if not write.n_changed:
+            return True
+        # Shortcut: with C >= 1 no iteration of any plan asks more of a
+        # chip than its RESET-level count or more of the DIMM than the
+        # write's cell count, so if those fit every iteration does.
+        ledger = self.chip_ledger
+        if self.reset_set_ratio >= 1.0 and (
+            ledger is None
+            or max(write.chip_counts_plan()) <= min(ledger.budget) + TOKEN_EPS
+        ) and (not self.enforce_dimm or (
+            write.n_changed / self.lcp_efficiency
+            <= self.dimm_pool.budget + TOKEN_EPS
+        )):
+            return True
+        if not self.ipm:
+            rows = [write.chip_counts_plan()]
+            dimm = [float(write.n_changed)]
+        else:
+            ratio = self.reset_set_ratio
+            iterations = range(write.total_iterations)
+            rows = [write.chip_plan(i, ratio) for i in iterations]
+            dimm = [write.dimm_profile(i, ratio) for i in iterations]
+            if self.mr_splits > 1 and write.mr_splits == 1 \
+                    and not self._fits_idle(rows[0], dimm[0]):
+                totals, grid = write.multi_reset_groups(
+                    self.mr_splits, self.mr_grouping
+                )
+                rows = grid.T.astype(np.float64).tolist() + rows[1:]
+                dimm = totals.astype(np.float64).tolist() + dimm[1:]
+        return all(map(self._fits_idle, rows, dimm))
+
+    def _fits_idle(self, need: List[float], dimm_demand: float) -> bool:
+        """:meth:`_try_acquire`'s checks for one iteration against empty
+        pools and unrouted segments."""
+        if self.chip_ledger is None:
+            dimm_input = dimm_demand / self.lcp_efficiency
+        else:
+            local_total = 0.0
+            gcp_total = 0.0
+            for budget, amount in zip(self.chip_ledger.budget, need):
+                if amount <= TOKEN_EPS:
+                    continue
+                if amount <= budget + TOKEN_EPS:
+                    local_total += amount
+                elif self.gcp is None:
+                    return False
+                else:
+                    gcp_total += amount
+            dimm_input = local_total / self.lcp_efficiency
+            if gcp_total > 0:
+                if gcp_total > self.gcp.max_output_tokens + TOKEN_EPS:
+                    return False
+                dimm_input += self.gcp.input_power(gcp_total)
+        return not self.enforce_dimm or (
+            dimm_input <= self.dimm_pool.budget + TOKEN_EPS
+        )
+
     def on_iteration_end(self, write: WriteOperation, i: int, now: int) -> str:
         """Advance past iteration ``i``. Returns 'done', 'advance' or
         'stall'. Holdings for iteration ``i+1`` are acquired here."""
@@ -234,23 +331,19 @@ class PowerManager:
         holding = self._holdings.get(write.write_id)
         if holding is None:
             return
+        self.epoch += 1
         if holding.dimm > TOKEN_EPS:
             self.dimm_pool.release(holding.dimm, now)
         if self.chip_ledger is not None:
             self.chip_ledger.release_held(holding.chip)
-        else:
-            for chip in self.dimm.chips:
-                held = holding.chip[chip.chip_id]
-                if held > TOKEN_EPS:
-                    chip.release(held)
         for grant in holding.grants.values():
             assert self.gcp is not None
             self.gcp.release(grant)
         if keep_sources:
-            # Reuse the Holding in place (sources and has_gcp survive;
-            # everything released above is zeroed).
+            # Reuse the Holding in place (sources survive; everything
+            # released above is zeroed).
             holding.dimm = 0.0
-            holding.chip[:] = 0.0
+            holding.chip = [0.0] * len(holding.chip)
             holding.grants.clear()
         else:
             del self._holdings[write.write_id]
@@ -261,231 +354,103 @@ class PowerManager:
     # ------------------------------------------------------------------
     # The atomic acquisition step
     # ------------------------------------------------------------------
+    def _fail(self, key: str) -> bool:
+        self.fail_counts[key] += 1
+        self._fail_key = key
+        return False
+
     def _try_acquire(self, write: WriteOperation, i: int, now: int) -> bool:
         """Plan and commit iteration ``i``'s full allocation, or nothing.
 
         All checks (chip LCPs, GCP pump capacity, DIMM input power) run
         before anything is committed, so failure never leaves partial
-        holdings behind. The reference kernel arbitrates chip by chip;
-        the vectorized kernel evaluates the same plan with array ops.
+        holdings behind. Chips are visited in order and every total is
+        accumulated in that order, on plain floats: the write's cached
+        profile row and the :class:`ChipTokenLedger` lists.
         """
-        if self._vec:
-            return self._try_acquire_vec(write, i, now)
-        return self._try_acquire_ref(write, i, now)
-
-    def _try_acquire_ref(self, write: WriteOperation, i: int, now: int) -> bool:
-        c_ratio = self.reset_set_ratio
         holding = self._holdings.get(write.write_id)
-        if holding is None:
-            holding = Holding(self.dimm.n_chips)
-        chips = self.dimm.chips
-
-        local_plan: List[int] = []
-        gcp_plan: List[int] = []
-        local_total = 0.0
-        gcp_total = 0.0
-        need = None
-        if self.enforce_chip:
-            need = write.chip_alloc(i, c_ratio, self.ipm)
-            for c in range(self.dimm.n_chips):
-                amount = float(need[c])
+        ledger = self.chip_ledger
+        if ledger is not None:
+            need = (
+                write.chip_plan(i, self.reset_set_ratio)
+                if self.ipm
+                else write.chip_counts_plan()
+            )
+            budget = ledger.budget
+            allocated = ledger.allocated
+            sources = holding.sources if holding is not None else None
+            gcp = self.gcp
+            local: List[int] = []
+            pumped: List[int] = []
+            local_total = 0.0
+            gcp_total = 0.0
+            for c, amount in enumerate(need):
                 if amount <= TOKEN_EPS:
                     continue
-                src = holding.sources[c]
+                fits = amount <= budget[c] - allocated[c] + TOKEN_EPS
+                src = SRC_NONE if sources is None else sources[c]
                 if src == SRC_NONE:
-                    src = SRC_LCP if chips[c].can_allocate(amount) else SRC_GCP
+                    src = SRC_LCP if fits else SRC_GCP
                 if src == SRC_LCP:
-                    if not chips[c].can_allocate(amount):
-                        self.fail_counts["chip"] += 1
-                        return False
-                    local_plan.append(c)
+                    if not fits:
+                        return self._fail("chip")
+                    local.append(c)
                     local_total += amount
+                elif gcp is None:
+                    return self._fail("chip")
                 else:
-                    if self.gcp is None:
-                        self.fail_counts["chip"] += 1
-                        return False
-                    gcp_plan.append(c)
+                    pumped.append(c)
                     gcp_total += amount
-            if gcp_total > 0 and not self.gcp.can_supply(gcp_total):
-                self.fail_counts["gcp"] += 1
-                return False
+            if gcp_total > 0 and not gcp.can_supply(gcp_total):
+                return self._fail("gcp")
             dimm_input = local_total / self.lcp_efficiency
             if gcp_total > 0:
-                dimm_input += self.gcp.input_power(gcp_total)
+                dimm_input += gcp.input_power(gcp_total)
         else:
-            dimm_input = (
-                write.dimm_alloc(i, c_ratio, self.ipm) / self.lcp_efficiency
+            demand = (
+                write.dimm_profile(i, self.reset_set_ratio)
+                if self.ipm
+                else float(write.n_changed)
             )
+            dimm_input = demand / self.lcp_efficiency
 
         if self.enforce_dimm and not self.dimm_pool.can_allocate(dimm_input):
-            self.fail_counts["dimm"] += 1
-            return False
+            return self._fail("dimm")
 
         # --- commit ---
-        if self.enforce_chip and need is not None:
-            for c in local_plan:
-                chips[c].allocate(float(need[c]))
-                holding.chip[c] = float(need[c])
-                holding.sources[c] = SRC_LCP
-            for c in gcp_plan:
-                assert self.gcp is not None
-                holding.grants[c] = self.gcp.acquire(float(need[c]))
-                holding.sources[c] = SRC_GCP
-            if gcp_total > 0:
-                holding.has_gcp = True
+        self.epoch += 1
+        if holding is None:
+            holding = self._holdings[write.write_id] = Holding(
+                self.dimm.n_chips
+            )
+        if ledger is not None:
+            ledger.allocate_many(local, need)
+            held = holding.chip
+            sources = holding.sources
+            for c in local:
+                held[c] = need[c]
+                sources[c] = SRC_LCP
+            if pumped:
+                for c in pumped:
+                    holding.grants[c] = gcp.acquire(need[c])
+                    sources[c] = SRC_GCP
                 write.gcp_peak_tokens = max(write.gcp_peak_tokens, gcp_total)
                 if self.obs is not None:
                     self.obs.on_gcp_acquire(write, gcp_total, now)
         if self.enforce_dimm and dimm_input > TOKEN_EPS:
             self.dimm_pool.allocate(dimm_input, now)
             holding.dimm = dimm_input
-        self._holdings[write.write_id] = holding
-        return True
-
-    def _try_acquire_vec(self, write: WriteOperation, i: int, now: int) -> bool:
-        """Array-ledger twin of :meth:`_try_acquire_ref`.
-
-        The per-chip source choice, feasibility checks, failure
-        accounting and commits are evaluated with boolean masks over the
-        write's cached allocation profile instead of a Python loop, but
-        every float travels through the same arithmetic: totals are
-        accumulated sequentially in chip order (NumPy's pairwise ``sum``
-        would round differently) and the ledger updates mirror
-        ``PCMChip`` elementwise.
-        """
-        c_ratio = self.reset_set_ratio
-        holding = self._holdings.get(write.write_id)
-
-        if not self.enforce_chip:
-            dimm_alloc = (
-                write.dimm_profile(i, c_ratio)
-                if self.ipm
-                else float(write.n_changed)
-            )
-            dimm_input = dimm_alloc / self.lcp_efficiency
-            if self.enforce_dimm and not self.dimm_pool.can_allocate(
-                dimm_input
-            ):
-                self.fail_counts["dimm"] += 1
-                return False
-            if holding is None:
-                holding = Holding(self.dimm.n_chips)
-                self._holdings[write.write_id] = holding
-            if self.enforce_dimm and dimm_input > TOKEN_EPS:
-                self.dimm_pool.allocate(dimm_input, now)
-                holding.dimm = dimm_input
-            return True
-
-        need, local_total, pos = (
-            write.chip_plan(i, c_ratio)
-            if self.ipm
-            else write.chip_counts_plan()
-        )
-        ledger = self.chip_ledger
-        assert ledger is not None
-
-        if (holding is None or not holding.has_gcp) and bool(
-            ledger.fits(need).all()
-        ):
-            # Fast path (the overwhelmingly common case): no segment is
-            # pinned to the GCP and every demand fits its local pump, so
-            # the whole plan is LCP — SRC_NONE segments route LCP-first
-            # and pinned-LCP segments fit by the same check. Zero-demand
-            # chips contribute exact zeros to the sum and the ledger
-            # update (a positive demand is always >> TOKEN_EPS), so no
-            # masking is needed anywhere.
-            dimm_input = local_total / self.lcp_efficiency
-            if self.enforce_dimm and not self.dimm_pool.can_allocate(
-                dimm_input
-            ):
-                self.fail_counts["dimm"] += 1
-                return False
-            if holding is None:
-                holding = Holding(self.dimm.n_chips)
-                self._holdings[write.write_id] = holding
-            ledger.allocate_all(need)
-            holding.chip[:] = need
-            holding.sources[pos] = SRC_LCP
-            if self.enforce_dimm and dimm_input > TOKEN_EPS:
-                self.dimm_pool.allocate(dimm_input, now)
-                holding.dimm = dimm_input
-            return True
-
-        # General path: per-chip source routing with boolean masks.
-        gcp_total = 0.0
-        sources = (
-            holding.sources if holding is not None else self._no_sources
-        )
-        fits = ledger.fits(need)
-        chosen = np.where(
-            sources == SRC_NONE,
-            np.where(fits, SRC_LCP, SRC_GCP),
-            sources,
-        )
-        lcp = pos & (chosen == SRC_LCP)
-        gcp = pos & (chosen == SRC_GCP)
-        # A pinned-LCP segment that no longer fits, or any GCP-routed
-        # segment without a pump, fails the same "chip" counter the
-        # per-chip loop charges.
-        if (lcp & ~fits).any() or (self.gcp is None and gcp.any()):
-            self.fail_counts["chip"] += 1
-            return False
-        local_total = 0.0
-        for amount in need[lcp].tolist():
-            local_total += amount
-        if gcp.any():
-            for amount in need[gcp].tolist():
-                gcp_total += amount
-            if not self.gcp.can_supply(gcp_total):
-                self.fail_counts["gcp"] += 1
-                return False
-        dimm_input = local_total / self.lcp_efficiency
-        if gcp_total > 0:
-            dimm_input += self.gcp.input_power(gcp_total)
-
-        if self.enforce_dimm and not self.dimm_pool.can_allocate(dimm_input):
-            self.fail_counts["dimm"] += 1
-            return False
-
-        # --- commit ---
-        if holding is None:
-            holding = Holding(self.dimm.n_chips)
-        if lcp.any():
-            ledger.allocate(need, lcp)
-            holding.chip[lcp] = need[lcp]
-            holding.sources[lcp] = SRC_LCP
-        if gcp.any():
-            assert self.gcp is not None
-            gcp_idx = np.flatnonzero(gcp)
-            holding.grants.update(
-                self.gcp.acquire_many(
-                    gcp_idx.tolist(), need[gcp_idx].tolist()
-                )
-            )
-            holding.sources[gcp] = SRC_GCP
-            holding.has_gcp = True
-            write.gcp_peak_tokens = max(write.gcp_peak_tokens, gcp_total)
-            if self.obs is not None:
-                self.obs.on_gcp_acquire(write, gcp_total, now)
-        if self.enforce_dimm and dimm_input > TOKEN_EPS:
-            self.dimm_pool.allocate(dimm_input, now)
-            holding.dimm = dimm_input
-        self._holdings[write.write_id] = holding
         return True
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests)
     # ------------------------------------------------------------------
-    def chip_allocations(self) -> np.ndarray:
-        """Per-chip LCP tokens currently allocated (telemetry/tests).
-
-        Reads the array ledger under the vectorized kernel and the
-        individual :class:`~repro.pcm.chip.PCMChip` balances otherwise;
-        treat the result as read-only.
-        """
+    def chip_allocations(self) -> List[float]:
+        """Per-chip LCP tokens currently allocated (telemetry/tests);
+        treat the result as read-only."""
         if self.chip_ledger is not None:
             return self.chip_ledger.allocated
-        return np.array([chip.allocated for chip in self.dimm.chips])
+        return [0.0] * self.dimm.n_chips
 
     def assert_conserved(self) -> None:
         """Every pool's allocation equals the sum over live holdings."""

@@ -27,7 +27,7 @@ The FPB-IPM allocation profile for a write with ``n`` changed cells,
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..errors import SchedulingError
 from ..kernel import Kernel, get_kernel
 from ..pcm.mapping import CellMapping
 from ..pcm.write_model import active_cells_per_iteration
-from ..power.tokens import TOKEN_EPS
 
 
 class WriteState(enum.Enum):
@@ -114,13 +113,15 @@ class WriteOperation:
         self.cancel_count = 0
         #: Peak GCP output simultaneously supplying this write (Fig. 14).
         self.gcp_peak_tokens = 0.0
-        #: Cached (ratio, dimm_vec, chip_mat, row_sums, row_pos) IPM
-        #: allocation profile.
+        #: Cached (ratio, dimm_vec, chip_mat, chip_rows) IPM allocation
+        #: profile.
         self._ipm_profiles: Optional[Tuple] = None
-        #: Cached per-write (non-IPM) chip demand plan.
-        self._flat_plan: Optional[
-            Tuple[np.ndarray, float, np.ndarray]
-        ] = None
+        #: Cached per-write (non-IPM) chip demand, one float per chip.
+        self._flat_plan: Optional[List[float]] = None
+        #: ``(epoch, fail key)`` of the power manager's last failed
+        #: attempt to start or resume this write; the verdict stands
+        #: while the manager's token-state epoch is unchanged.
+        self.blocked: Optional[Tuple[int, str]] = None
 
         self.mr_splits = 1
         self.group_totals = np.array([self.n_changed], dtype=np.int64)
@@ -144,13 +145,23 @@ class WriteOperation:
         """
         if self.state is not WriteState.QUEUED:
             raise SchedulingError("cannot re-plan an in-flight write")
-        mr_splits = max(1, min(mr_splits, max(1, self.n_changed)))
-        self.mr_splits = mr_splits
+        self.group_totals, self.group_chip_counts = self.multi_reset_groups(
+            mr_splits, grouping
+        )
+        self.mr_splits = int(self.group_totals.size)
         self._ipm_profiles = None
+
+    def multi_reset_groups(
+        self, mr_splits: int, grouping: str = "position"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(group_totals, group_chip_counts)`` of the RESET split that
+        :meth:`apply_multi_reset` would install, without installing it."""
+        mr_splits = max(1, min(mr_splits, max(1, self.n_changed)))
         if mr_splits == 1 or not self.n_changed:
-            self.group_totals = np.array([self.n_changed], dtype=np.int64)
-            self.group_chip_counts = self.chip_counts.reshape(self.n_chips, 1)
-            return
+            return (
+                np.array([self.n_changed], dtype=np.int64),
+                self.chip_counts.reshape(self.n_chips, 1),
+            )
         if grouping == "position":
             cells_per_chip = self.mapping.n_cells // self.n_chips
             rank = self._rank_in_chip()
@@ -167,10 +178,9 @@ class WriteOperation:
                 f"unknown Multi-RESET grouping {grouping!r}; "
                 "use 'position' or 'changed'"
             )
-        self.group_totals = np.bincount(group, minlength=mr_splits)
         grid = np.zeros((self.n_chips, mr_splits), dtype=np.int64)
         np.add.at(grid, (self.chip_of_cell, group), 1)
-        self.group_chip_counts = grid
+        return np.bincount(group, minlength=mr_splits), grid
 
     def _rank_in_chip(self) -> np.ndarray:
         """Position of each changed cell within its chip's cell array."""
@@ -185,14 +195,14 @@ class WriteOperation:
 
     @property
     def max_cell_iterations(self) -> int:
-        return int(self.active.size)
+        return len(self.active)
 
     @property
     def total_iterations(self) -> int:
         """RESET groups plus the SET iterations of the slowest cell."""
         if not self.n_changed:
             return 0
-        return self.mr_splits + self.max_cell_iterations - 1
+        return self.mr_splits + len(self.active) - 1
 
     def iteration_kind(self, i: int) -> IterationKind:
         self._check_iteration(i)
@@ -243,11 +253,10 @@ class WriteOperation:
         / ``chip_alloc(i, ratio, True)``: the RESET-group rows followed
         by the lagged SET rows ``active[j-1] / C``. Elementwise division
         by the same ratio keeps every entry bit-identical to the
-        per-call scalar computation; the vectorized PowerManager indexes
-        these instead of rebuilding each iteration's demand. Also cached
-        per row: the chip-order sum (``np.cumsum`` is a sequential scan,
-        so its rounding matches a per-chip accumulation loop) and the
-        ``> TOKEN_EPS`` mask.
+        per-call scalar computation; the power manager indexes these
+        instead of rebuilding each iteration's demand. The chip matrix
+        is also cached as rows of Python floats (``tolist`` converts
+        exactly), which the manager's per-chip loop reads.
         """
         cached = self._ipm_profiles
         if cached is not None and cached[0] == reset_set_ratio:
@@ -261,13 +270,7 @@ class WriteOperation:
             self.group_chip_counts.T.astype(np.float64),
             self.chip_active[:, :sets].T / reset_set_ratio,
         ])
-        cached = (
-            reset_set_ratio,
-            dimm,
-            chip,
-            np.cumsum(chip, axis=1)[:, -1],
-            chip > TOKEN_EPS,
-        )
+        cached = (reset_set_ratio, dimm, chip, chip.tolist())
         self._ipm_profiles = cached
         return cached
 
@@ -284,31 +287,24 @@ class WriteOperation:
         self._check_iteration(i)
         return self._profiles(reset_set_ratio)[2][i]
 
-    def chip_plan(
-        self, i: int, reset_set_ratio: float
-    ) -> Tuple[np.ndarray, float, np.ndarray]:
-        """``(need, total, positive)`` for IPM iteration ``i``.
+    def chip_plan(self, i: int, reset_set_ratio: float) -> List[float]:
+        """Per-chip demand of IPM iteration ``i``, one float per chip.
 
-        ``need`` is the cached profile row, ``total`` its sum
-        accumulated in chip order (matching the reference kernel's
-        per-chip loop bit for bit), and ``positive`` the
-        ``need > TOKEN_EPS`` mask. All three are cached views — the
-        power manager hits this on every iteration of every write.
+        The cached profile row — ``chip_alloc(i, ratio, ipm=True)`` bit
+        for bit. The power manager hits this on every iteration of every
+        write; treat the list as read-only.
         """
         self._check_iteration(i)
-        prof = self._profiles(reset_set_ratio)
-        return prof[2][i], float(prof[3][i]), prof[4][i]
+        return self._profiles(reset_set_ratio)[3][i]
 
-    def chip_counts_plan(self) -> Tuple[np.ndarray, float, np.ndarray]:
-        """Per-write-budgeting twin of :meth:`chip_plan` (demand is the
-        flat RESET-level ``chip_counts``, identical every iteration).
-        Integer sums are exact in any order, so no sequential scan is
-        needed here."""
+    def chip_counts_plan(self) -> List[float]:
+        """Per-write-budgeting twin of :meth:`chip_plan`: the flat
+        RESET-level ``chip_counts``, identical every iteration."""
         cached = self._flat_plan
         if cached is None:
-            need = self.chip_counts.astype(np.float64)
-            cached = (need, float(self.chip_counts.sum()), need > TOKEN_EPS)
-            self._flat_plan = cached
+            cached = self._flat_plan = [
+                float(n) for n in self.chip_counts.tolist()
+            ]
         return cached
 
     def cells_finishing_at(self, i: int) -> int:

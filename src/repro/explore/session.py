@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..config.system import SystemConfig, config_fingerprint
-from ..errors import RunFailedError
+from ..errors import RunFailedError, SimulationError
 from ..experiments.base import (
     QUICK,
     RunRequest,
@@ -403,12 +403,17 @@ class ExploreSession:
                     source = "computed"
                 try:
                     result = fetch(request)
-                except RunFailedError as exc:
+                except (RunFailedError, SimulationError) as exc:
+                    # RunFailedError: the engine already failed the run
+                    # (pool or batched prefetch); SimulationError: the
+                    # serial path just did.
+                    error = (str(exc) if isinstance(exc, RunFailedError)
+                             else f"{type(exc).__name__}: {exc}")
                     record = _PointRecord(
                         generation=generation, index=index,
                         point=dict(point), scheme=scheme,
                         fingerprint=fingerprint, source="failed",
-                        objectives=None, error=str(exc),
+                        objectives=None, error=error,
                     )
                     counts["failed"] += 1
                 else:

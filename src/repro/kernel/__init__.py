@@ -1,14 +1,16 @@
 """Simulation-kernel selection (``SystemConfig.kernel``).
 
-The write pipeline — SET-iteration sampling, per-iteration active-cell
-planning, and token-ledger arbitration — exists in two interchangeable
-implementations:
+The write pipeline's SET-iteration sampling and per-iteration
+active-cell planning exist in two interchangeable implementations:
 
 * **reference** — per-cell scalar Python loops. This is the executable
-  specification: each loop mirrors the paper's prose one cell, one chip,
-  one iteration at a time, and stays the default for every run.
-* **vectorized** — batched NumPy. One RNG draw matrix per write, fused
-  histogram planning, and array-ledger token accounting.
+  specification: each loop mirrors the paper's prose one cell, one
+  iteration at a time, and stays the default for every run.
+* **vectorized** — batched NumPy. One RNG draw matrix per write and
+  fused histogram planning.
+
+Token-ledger arbitration is one scalar path shared by both (an 8-chip
+DIMM is too small for array calls to pay off).
 
 Both kernels are *byte-identical* by construction: they consume the same
 RNG streams in the same order (NumPy ``Generator`` scalar draws consume

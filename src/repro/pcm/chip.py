@@ -4,7 +4,9 @@ The DIMM has 8 chips; every logical bank is interleaved across all of
 them (Figure 1), so each chip serves a *segment* of every line. The chip
 owns a local power-token account: tokens allocated to in-flight write
 segments plus tokens lent to the global charge pump may never exceed the
-chip's LCP budget.
+chip's LCP budget. The power manager keeps a DIMM's balances in one
+:class:`~repro.power.tokens.ChipTokenLedger`, whose updates are this
+class's arithmetic; a chip object here supplies its budget.
 """
 
 from __future__ import annotations

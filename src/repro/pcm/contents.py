@@ -8,7 +8,9 @@ Section 2.1.3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+import bisect
+import itertools
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -16,22 +18,32 @@ from ..errors import TraceError
 
 
 class LineStore:
-    """Maps line-aligned addresses to their current byte contents."""
+    """Maps line-aligned addresses to their current byte contents.
+
+    Lines written one at a time live in ``_lines``. A bulk write keeps
+    its whole block and indexes its rows by address in ``_rows`` (global
+    row numbers, counted across ``_blocks`` from ``_starts``), so a
+    block of lines costs one array and one dict entry per line. An
+    address lives in exactly one of the two.
+    """
 
     def __init__(self, line_size: int):
         if line_size <= 0:
             raise TraceError(f"line size must be positive, got {line_size}")
         self.line_size = line_size
         self._lines: Dict[int, np.ndarray] = {}
+        self._blocks: List[np.ndarray] = []
+        self._starts: List[int] = []
+        self._rows: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._lines) + len(self._rows)
 
     def __contains__(self, line_addr: int) -> bool:
-        return line_addr in self._lines
+        return line_addr in self._lines or line_addr in self._rows
 
     def addresses(self) -> Iterator[int]:
-        return iter(self._lines)
+        return itertools.chain(self._lines, self._rows)
 
     def _check_aligned(self, line_addr: int) -> None:
         if line_addr % self.line_size:
@@ -39,13 +51,23 @@ class LineStore:
                 f"address {line_addr:#x} is not {self.line_size}-byte aligned"
             )
 
+    def _line(self, line_addr: int) -> Optional[np.ndarray]:
+        """The stored line itself (a block row is a view), or ``None``."""
+        line = self._lines.get(line_addr)
+        if line is None:
+            row = self._rows.get(line_addr)
+            if row is not None:
+                k = bisect.bisect_right(self._starts, row) - 1
+                line = self._blocks[k][row - self._starts[k]]
+        return line
+
     def read(self, line_addr: int) -> np.ndarray:
         """Current contents of a line (zeros if never written).
 
         Returns a copy; mutating it does not affect the store.
         """
         self._check_aligned(line_addr)
-        line = self._lines.get(line_addr)
+        line = self._line(line_addr)
         if line is None:
             return np.zeros(self.line_size, dtype=np.uint8)
         return line.copy()
@@ -58,6 +80,7 @@ class LineStore:
             raise TraceError(
                 f"line data must be {self.line_size} bytes, got {data.size}"
             )
+        self._rows.pop(line_addr, None)
         self._lines[line_addr] = data.copy()
 
     def write_rows(self, line_addrs: np.ndarray, block: np.ndarray) -> None:
@@ -78,9 +101,14 @@ class LineStore:
             raise TraceError(
                 f"addresses must be {self.line_size}-byte aligned"
             )
-        lines = self._lines
-        for addr, row in zip(addrs.tolist(), block):
-            lines[addr] = row
+        keys = addrs.tolist()
+        if self._lines:
+            for addr in self._lines.keys() & set(keys):
+                del self._lines[addr]
+        first = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
+        self._starts.append(first)
+        self._blocks.append(block)
+        self._rows.update(zip(keys, range(first, first + len(keys))))
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
         """Write an arbitrary (possibly unaligned) byte span."""
@@ -90,8 +118,10 @@ class LineStore:
             line_addr = (addr + pos) // self.line_size * self.line_size
             line_off = (addr + pos) - line_addr
             n = min(self.line_size - line_off, data.size - pos)
-            line = self._lines.setdefault(
-                line_addr, np.zeros(self.line_size, dtype=np.uint8)
-            )
+            line = self._line(line_addr)
+            if line is None:
+                line = self._lines[line_addr] = np.zeros(
+                    self.line_size, dtype=np.uint8
+                )
             line[line_off:line_off + n] = data[pos:pos + n]
             pos += n

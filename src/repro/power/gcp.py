@@ -105,21 +105,6 @@ class GlobalChargePump:
         self.acquire_count += 1
         return grant
 
-    def acquire_many(
-        self, chip_ids: List[int], amounts: List[float]
-    ) -> Dict[int, GCPGrant]:
-        """Acquire one grant per chip, in chip order.
-
-        The batched power manager plans all GCP-routed segments of an
-        iteration at once and commits them here; grant ids, usage
-        statistics and ``output_in_use`` evolve exactly as the same
-        sequence of :meth:`acquire` calls would.
-        """
-        return {
-            chip_id: self.acquire(amount)
-            for chip_id, amount in zip(chip_ids, amounts)
-        }
-
     def shrink(self, grant: GCPGrant, new_output_tokens: float) -> None:
         """Reduce a grant's output (FPB-IPM reclaim at iteration ends)."""
         if grant.grant_id not in self._grants:

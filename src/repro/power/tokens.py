@@ -8,9 +8,7 @@ statistics used by the experiments.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
-import numpy as np
+from typing import Iterable, List
 
 from ..errors import BudgetExceededError, TokenError
 
@@ -98,62 +96,54 @@ class TokenPool:
 
 
 class ChipTokenLedger:
-    """Array-based LCP token accounting for all chips of a DIMM at once.
+    """LCP token accounting for all chips of a DIMM, as plain float lists.
 
-    The vectorized kernel's power manager replaces per-chip
-    :class:`~repro.pcm.chip.PCMChip` bookkeeping with one float64 vector
-    per quantity, so an iteration's feasibility check and commit touch
-    every chip in a handful of array ops. Each elementwise update uses
-    exactly the arithmetic ``PCMChip.allocate`` / ``release`` performs
-    on scalars (``+= max(0, t)`` and ``= max(0, a - t)``), keeping the
-    balances bit-identical to the reference path's.
+    The power manager reads ``budget`` and ``allocated`` directly in its
+    per-chip acquisition loop and commits through :meth:`allocate` /
+    :meth:`release_held`. Every update is exactly the scalar arithmetic
+    :class:`~repro.pcm.chip.PCMChip` performs (``+= max(0, t)`` and
+    ``= max(0, a - t)``), so the balances are bit-identical to a set of
+    per-chip objects driven through the same sequence.
     """
 
-    def __init__(self, budgets: Union[Sequence[float], np.ndarray]):
-        self.budget = np.array(budgets, dtype=np.float64)
-        if self.budget.size == 0 or self.budget.min() <= 0:
+    def __init__(self, budgets: Iterable[float]):
+        self.budget: List[float] = [float(b) for b in budgets]
+        if not self.budget or min(self.budget) <= 0:
             raise TokenError("chip ledger budgets must be positive")
-        self.allocated = np.zeros_like(self.budget)
+        self.allocated: List[float] = [0.0] * len(self.budget)
 
     @property
     def n_chips(self) -> int:
-        return int(self.budget.size)
+        return len(self.budget)
 
     @property
-    def free(self) -> np.ndarray:
-        return self.budget - self.allocated
+    def free(self) -> List[float]:
+        return [b - a for b, a in zip(self.budget, self.allocated)]
 
-    def fits(self, tokens: np.ndarray) -> np.ndarray:
-        """Per-chip ``can_allocate`` as a boolean vector."""
-        return tokens <= self.budget - self.allocated + TOKEN_EPS
+    def fits(self, chip: int, tokens: float) -> bool:
+        """``PCMChip.can_allocate`` for one chip."""
+        return tokens <= self.budget[chip] - self.allocated[chip] + TOKEN_EPS
 
-    def allocate(self, tokens: np.ndarray, mask: np.ndarray) -> None:
-        """Allocate ``tokens[c]`` on every chip selected by ``mask``.
+    def allocate(self, chip: int, tokens: float) -> None:
+        """Allocate ``tokens`` on ``chip``; feasibility is the caller's
+        responsibility (the power manager checks before committing)."""
+        self.allocated[chip] += max(0.0, tokens)
 
-        Feasibility is the caller's responsibility (the power manager
-        checks :meth:`fits` before committing anything).
-        """
-        self.allocated[mask] += np.maximum(0.0, tokens[mask])
+    def allocate_many(self, chips: List[int], tokens: List[float]) -> None:
+        """:meth:`allocate` ``tokens[c]`` on every chip ``c`` in ``chips``
+        (``t if t > 0.0 else 0.0`` is ``max(0.0, t)``, inlined)."""
+        allocated = self.allocated
+        for chip in chips:
+            t = tokens[chip]
+            allocated[chip] += t if t > 0.0 else 0.0
 
-    def allocate_all(self, tokens: np.ndarray) -> None:
-        """Whole-vector allocate for non-negative demands.
+    def release(self, chip: int, tokens: float) -> None:
+        self.allocated[chip] = max(0.0, self.allocated[chip] - tokens)
 
-        Adding 0.0 on idle chips leaves their balance bit-identical, so
-        this equals the masked form without building a mask.
-        """
-        np.add(self.allocated, tokens, out=self.allocated)
-
-    def release(self, tokens: np.ndarray, mask: np.ndarray) -> None:
-        self.allocated[mask] = np.maximum(
-            0.0, self.allocated[mask] - tokens[mask]
-        )
-
-    def release_held(self, tokens: np.ndarray) -> None:
-        """Whole-vector release of a holding (in place, no temporaries).
-
-        ``max(0, allocated - held)`` elementwise; subtracting 0.0 on
-        idle chips is exact, and ``x - x`` is ``+0.0`` in IEEE-754, so
-        no ``-0.0`` can appear that the scalar path would not produce.
-        """
-        np.subtract(self.allocated, tokens, out=self.allocated)
-        np.maximum(self.allocated, 0.0, out=self.allocated)
+    def release_held(self, held: List[float]) -> None:
+        """Release one write's per-chip holding (zero entries skipped)."""
+        allocated = self.allocated
+        for chip, tokens in enumerate(held):
+            if tokens > TOKEN_EPS:
+                left = allocated[chip] - tokens
+                allocated[chip] = left if left > 0.0 else 0.0

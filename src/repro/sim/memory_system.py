@@ -126,6 +126,16 @@ class MemorySystem:
         self._kick_pending = False
         self._write_id = 0
 
+        #: Quiet-pass bookkeeping (see :meth:`_quiet_since_last_kick`):
+        #: a counter bumped wherever a scheduling pass changes controller
+        #: state, the cycle of the last pass if it changed nothing (else
+        #: -1), the writes whose token acquisition it found blocked, and
+        #: the cycle of a pass a quiet boundary stood in for.
+        self._moves = 0
+        self._quiet_kick = -1
+        self._kick_blocked: List[WriteOperation] = []
+        self._quiet_pass = -1
+
         #: Optional telemetry observer (:class:`repro.obs.Telemetry`).
         #: Every emit site guards with ``is not None`` so the untraced
         #: hot path pays a single attribute check.
@@ -204,11 +214,18 @@ class MemorySystem:
         """Coalesced scheduling pass (at most one per timestamp)."""
         if self._kick_pending:
             return
+        if self._quiet_pass == now:
+            # A real pass at this cycle absorbs the one a quiet boundary
+            # stood in for, as it would have absorbed a pending one.
+            self._quiet_pass = -1
+            self.manager.charge_blocked(self._kick_blocked, -1)
         self._kick_pending = True
         self.engine.schedule(now, self._kick)
 
     def _kick(self, now: int) -> None:
         self._kick_pending = False
+        moves = self._moves
+        self._kick_blocked.clear()
         self._update_burst(now)
         self._resume_stalled(now)
         self._resume_paused(now)
@@ -219,12 +236,31 @@ class MemorySystem:
             self._issue_writes(now)
         self._update_burst(now)
         self._refill_queues(now)
+        self._quiet_kick = now if self._moves == moves else -1
+
+    def _quiet_since_last_kick(self, now: int) -> bool:
+        """True when a scheduling pass at ``now`` provably changes nothing.
+
+        Holds when no pass is pending, the last pass changed nothing, and
+        no bank's ``busy_until`` fell in (last pass, now]. Every event
+        that changes queue, token or write state requests a pass, except
+        a read freeing its bank: that happens with no event at all, so
+        the bank check stands in for it.
+        """
+        last = self._quiet_kick
+        if self._kick_pending or last < 0:
+            return False
+        for bank in self.dimm.banks:
+            if last < bank.busy_until <= now:
+                return False
+        return True
 
     def _update_burst(self, now: int) -> None:
         if not self.burst_enabled:
             return
         if not self.in_burst and len(self.wrq) >= self.wrq_cap:
             self.in_burst = True
+            self._moves += 1
             self._burst_started = now
             self.stats.burst_entries += 1
             if self.obs is not None:
@@ -232,22 +268,35 @@ class MemorySystem:
         elif self.in_burst and not self.wrq and not self.pending_rounds \
                 and not self.stalled:
             self.in_burst = False
+            self._moves += 1
             self.stats.burst_cycles += now - self._burst_started
             if self.obs is not None:
                 self.obs.on_burst(False, now)
 
     def _refill_queues(self, now: int) -> None:
         while self.waiting_rdq and len(self.rdq) < self.rdq_cap:
+            self._moves += 1
             self.waiting_rdq.popleft()(now)
         while self.waiting_wrq and len(self.wrq) < self.wrq_cap:
+            self._moves += 1
             self.waiting_wrq.popleft()(now)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def _issue_reads(self, now: int) -> None:
-        if not self.rdq:
+        if not self.rdq or self._resp_in_flight >= self.respq_cap:
             return
+        banks = self.dimm.banks
+        preempts = self.wp_enabled or self.wc_enabled
+        for req in self.rdq:
+            bank = banks[req.bank]
+            if bank.is_free(now) or (
+                preempts and bank.active_write is not None
+            ):
+                break
+        else:
+            return  # no request can start or preempt: the RDQ stays
         remaining: Deque[ReadRequest] = deque()
         while self.rdq:
             if self._resp_in_flight >= self.respq_cap:
@@ -269,6 +318,7 @@ class MemorySystem:
         self.rdq = remaining
 
     def _start_read(self, req: ReadRequest, now: int) -> None:
+        self._moves += 1
         bank = self.dimm.banks[req.bank]
         start = now + self._mc_to_bank
         done = start + self.timing.read_cycles
@@ -295,7 +345,9 @@ class MemorySystem:
         if self.wp_enabled:
             # Pause at the next iteration boundary (Section 3.2 notes the
             # post-RESET pause is short enough for drift to be ignored).
-            setattr(write, "pause_requested", True)
+            if not write.pause_requested:
+                write.pause_requested = True
+                self._moves += 1
             return
         if self.wc_enabled and write.state is WriteState.ACTIVE:
             progress = write.current_iteration / max(1, write.total_iterations)
@@ -306,6 +358,7 @@ class MemorySystem:
         job = getattr(write, "_job", None)
         if job is None:
             raise SimulationError("active write without a job")
+        self._moves += 1
         self.manager.release_all(write, now)
         bank = self.dimm.banks[write.bank]
         bank.detach_write(write)
@@ -347,14 +400,14 @@ class MemorySystem:
         if job.rounds is None:
             self._plan_job(job, now)
         write = job.current
-        if write is None:
-            return True  # nothing to do (empty write)
-        bank = self.dimm.banks[job.bank]
-        if not bank.is_free(now):
-            return False
-        if write.n_changed and not self.manager.try_issue(write, now):
-            return False
-        self._begin_round(job, write, now)
+        if write is not None:  # None: nothing to do (empty write)
+            if not self.dimm.banks[job.bank].is_free(now):
+                return False
+            if write.n_changed and not self.manager.try_issue(write, now):
+                self._kick_blocked.append(write)
+                return False
+            self._begin_round(job, write, now)
+        self._moves += 1
         return True
 
     def _plan_job(self, job: WriteJob, now: int) -> None:
@@ -367,22 +420,36 @@ class MemorySystem:
             changed_idx, iter_counts = self._preset_payload()
         probe = self._make_round(job, changed_idx, iter_counts)
         rounds = self.manager.required_rounds(probe)
-        if rounds <= 1:
-            job.rounds = [probe]
-        else:
-            # Interleaved partition: stride-k slices balance both the
-            # DIMM-level and per-chip demand of each round.
-            job.rounds = [
-                self._make_round(
-                    job,
-                    changed_idx[k::rounds],
-                    iter_counts[k::rounds],
+        job.rounds = [probe]
+        if rounds > 1:
+            job.rounds = self._split_rounds(job, changed_idx, iter_counts,
+                                            rounds)
+        # The round count assumes balanced Multi-RESET groups; raise it
+        # while some round could not run even on an idle DIMM.
+        while not all(map(self.manager.fits_idle, job.rounds)):
+            if rounds >= probe.n_changed:
+                raise SimulationError(
+                    f"write to {record.line_addr:#x} cannot fit the power "
+                    "budgets even one cell per round"
                 )
-                for k in range(rounds)
-            ]
+            rounds += 1
+            job.rounds = self._split_rounds(job, changed_idx, iter_counts,
+                                            rounds)
+        if rounds > 1:
             self.stats.round_split_writes += 1
             if self.obs is not None:
                 self.obs.on_round_split(job, rounds, now)
+
+    def _split_rounds(self, job: WriteJob, changed_idx, iter_counts,
+                      rounds: int) -> List[WriteOperation]:
+        # Interleaved partition: stride-k slices balance both the
+        # DIMM-level and per-chip demand of each round.
+        return [
+            self._make_round(
+                job, changed_idx[k::rounds], iter_counts[k::rounds],
+            )
+            for k in range(rounds)
+        ]
 
     def _preset_payload(self) -> "Tuple[np.ndarray, np.ndarray]":
         """PreSET [22] foreground payload: one RESET pulse over (nearly)
@@ -470,6 +537,15 @@ class MemorySystem:
                 now + dur,
                 partial(self._iteration_boundary, job, write, i + 1),
             )
+            if not self.manager.ipm and self._quiet_since_last_kick(now):
+                # Per-write budgeting keeps its tokens across iterations,
+                # so this boundary changed nothing a pass reads. Skip the
+                # pass but charge the failures it would repeat, once per
+                # cycle, as coalesced passes would.
+                if self._quiet_pass != now:
+                    self._quiet_pass = now
+                    self.manager.charge_blocked(self._kick_blocked)
+                return
         else:  # stall
             write.state = WriteState.STALLED
             write.current_iteration = i + 1
@@ -507,8 +583,10 @@ class MemorySystem:
                 still.append((job, write))
                 continue
             if not self.manager.try_resume(write, now):
+                self._kick_blocked.append(write)
                 still.append((job, write))
                 continue
+            self._moves += 1
             bank.start_write(now, write)
             write.state = WriteState.ACTIVE
             self._write_started(now)
@@ -530,6 +608,7 @@ class MemorySystem:
         still: List[Tuple[WriteJob, WriteOperation]] = []
         for job, write in self.stalled:
             if self.manager.try_resume(write, now):
+                self._moves += 1
                 write.state = WriteState.ACTIVE
                 self.stats.write_stall_cycles += now - getattr(
                     write, "_stalled_at", now
@@ -545,6 +624,7 @@ class MemorySystem:
                     ),
                 )
             else:
+                self._kick_blocked.append(write)
                 still.append((job, write))
         self.stalled = still
 

@@ -20,7 +20,12 @@ import json
 
 import pytest
 
-from repro.experiments.base import RunScale, clear_sim_cache, use_telemetry
+from repro.experiments.base import (
+    RunRequest,
+    RunScale,
+    clear_sim_cache,
+    use_telemetry,
+)
 from repro.explore import (
     Axis,
     ExploreSession,
@@ -29,6 +34,7 @@ from repro.explore import (
     frontier_report,
 )
 from repro.obs import Telemetry
+from repro.testing.faults import ENV_VAR as FAULTS_ENV_VAR
 from repro.testing.faults import FaultSpec, clear_faults, install_faults
 
 from ..conftest import make_tiny_config
@@ -172,6 +178,42 @@ class TestResume:
                                  journal_dir=tmp_path / "torn")
         report = resumed.run(resume=True)
         assert report["counts"]["restored"] == 8
+
+
+class TestFailedPoints:
+    def test_failing_point_reported_alike_serial_and_pooled(
+            self, tmp_path, tmp_sim_cache, monkeypatch):
+        """A run that raises SimulationError is a failed point, not an
+        aborted session, whether the serial loop or the engine's pool
+        ran it, and both paths report the same points and frontier."""
+        sets = settings()
+        point = {"dimm_tokens": 490.0, "gcp_efficiency": 0.5,
+                 "mr_splits": 2}
+        config, scheme = sets.space.lower(point, BASE, sets.scheme)
+        target = RunRequest(config, sets.workload, scheme, MICRO)
+        monkeypatch.setenv(FAULTS_ENV_VAR, json.dumps([
+            {"point": where, "mode": "error", "error": "SimulationError",
+             "message": "stuck controller", "match": target.fingerprint}
+            for where in ("serial_run", "worker_run")
+        ]))
+
+        def outcome(report):
+            return [(p["point"], p["fingerprint"], p["objectives"],
+                     p["error"] is not None) for p in report["points"]]
+
+        _, serial = run_session(sets, tmp_path, "serial")
+        clear_sim_cache()
+        _, pooled = run_session(settings(jobs=2), tmp_path, "pooled")
+
+        for report in (serial, pooled):
+            [failed] = [p for p in report["points"] if p["error"]]
+            assert failed["fingerprint"] == target.fingerprint
+            assert failed["source"] == "failed"
+            assert "SimulationError: stuck controller" in failed["error"]
+            assert report["counts"]["failed"] == 1
+            assert report["counts"]["evaluated"] == 8
+        assert outcome(serial) == outcome(pooled)
+        assert frontier_bytes(serial) == frontier_bytes(pooled)
 
 
 class TestTelemetry:

@@ -89,8 +89,8 @@ def test_figure8_schedule(setup):
     # WR-A is being served entirely from local pumps.
     assert manager.try_issue(wr_a, 0)
     holding_a = manager.holding_for(wr_a)
-    assert (holding_a.sources[:3] == [SRC_LCP, SRC_LCP, SRC_LCP]).all()
-    assert [chip.free for chip in dimm.chips] == [2.0, 2.0, 0.0]
+    assert holding_a.sources[:3] == [SRC_LCP, SRC_LCP, SRC_LCP]
+    assert manager.chip_ledger.free == [2.0, 2.0, 0.0]
 
     # WR-B: chip 1 needs 3 > 2 free -> that one segment moves to the GCP.
     assert manager.try_issue(wr_b, 0)

@@ -4,7 +4,7 @@ Hypothesis drives random line sizes, cell-change vectors, chip counts
 and seeds through both kernels and asserts element-wise agreement —
 sampling draws, iteration schedules, per-chip histograms — plus the
 schedule invariants (counts within ``max_iterations``, histograms
-summing to the total cell changes) and the array token ledger matching
+summing to the total cell changes) and the list token ledger matching
 per-chip ``PCMChip`` accounting bit for bit.
 """
 
@@ -18,7 +18,7 @@ from repro.kernel.vectorized import (
     active_cells_per_chip_iteration,
     active_cells_per_iteration,
 )
-from repro.pcm.chip import PCMChip
+from repro.pcm.chip import TOKEN_EPS, PCMChip
 from repro.pcm.write_model import IterationSampler
 from repro.power.tokens import ChipTokenLedger
 from repro.rng import make_rng
@@ -127,27 +127,34 @@ def test_module_histogram_helpers_match_plan(inputs):
 )
 @settings(max_examples=60, deadline=None)
 def test_chip_ledger_matches_pcm_chips(budgets, ops):
-    """Random allocate/release sequences leave the array ledger and the
+    """Random allocate/release sequences leave the list ledger and the
     per-chip objects with bit-identical balances and feasibility."""
     ledger = ChipTokenLedger(budgets)
     chips = [PCMChip(c, b) for c, b in enumerate(budgets)]
     n = len(budgets)
-    amounts = np.zeros(n)
-    for chip_id, amount in ops:
+    held = [0.0] * n
+    for step, (chip_id, amount) in enumerate(ops):
         chip_id %= n
-        amounts[:] = 0.0
-        amounts[chip_id] = amount
-        mask = amounts > 0
         if chips[chip_id].can_allocate(amount):
             chips[chip_id].allocate(amount)
-            ledger.allocate(amounts, mask)
+            if step % 2:
+                ledger.allocate(chip_id, amount)
+            else:
+                held[chip_id] = amount
+                ledger.allocate_many([chip_id], held)
+                held[chip_id] = 0.0
         else:
             released = min(amount, chips[chip_id].allocated)
             chips[chip_id].release(released)
-            amounts[chip_id] = released
-            ledger.release(amounts, mask)
+            # A holding never carries a sub-epsilon amount, so
+            # release_held skips those; release them one chip at a time.
+            if step % 2 or released <= TOKEN_EPS:
+                ledger.release(chip_id, released)
+            else:
+                held[chip_id] = released
+                ledger.release_held(held)
+                held[chip_id] = 0.0
         for c, chip in enumerate(chips):
             assert ledger.allocated[c] == chip.allocated
-            assert ledger.fits(np.full(n, amount))[c] == chip.can_allocate(
-                amount
-            )
+            assert ledger.fits(c, amount) == chip.can_allocate(amount)
+            assert ledger.free[c] == chip.free

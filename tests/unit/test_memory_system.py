@@ -116,6 +116,28 @@ class TestWrites:
         assert stats.round_split_writes == 1
         assert stats.write_rounds_done == 2
 
+    def test_unbalanced_multi_reset_group_gets_more_rounds(self):
+        """Position grouping can put more of one chip's cells in a
+        Multi-RESET group than its LCP or the GCP can ever power. The
+        balanced round estimate says one round; the write must still be
+        split until every round fits an idle DIMM, instead of never
+        issuing (a write burst then starves reads forever)."""
+        scheme = "ipm+mr2-bim-0.5"
+        config = make_tiny_config().with_dimm_tokens(420.0)
+        dimm = DIMM(get_scheme(scheme).apply_to_config(config))
+        cells = np.arange(dimm.cells_per_line)
+        front_of_chip0 = (dimm.mapping.chip_of(cells) == 0) & (
+            dimm.mapping.rank_in_chip() < dimm.cells_per_line // 16)
+        idx = cells[front_of_chip0][:60]  # 60 > 49.875 LCP > 36.75 GCP
+        rec = PCMAccess(core=0, kind=WRITE, line_addr=0, gap_instr=1,
+                        gap_hit_cycles=0, changed_idx=idx,
+                        iter_counts=np.full(idx.size, 2, dtype=np.uint8))
+        mem, stats, _ = run_streams([[rec, read_rec(LINE, gap=1)], []],
+                                    scheme=scheme, config=config)
+        assert stats.writes_done == 1 and stats.reads_done == 1
+        assert stats.round_split_writes == 1
+        assert stats.write_rounds_done == 2
+
 
 class TestWriteBurst:
     def test_full_queue_triggers_burst(self):
