@@ -1,4 +1,4 @@
-"""Parallel experiment execution engine with failure supervision.
+"""Supervised parallel plan execution.
 
 The engine takes the union of every experiment's declared run set
 (:meth:`Experiment.plan`), deduplicates it by canonical run fingerprint,
@@ -15,41 +15,53 @@ Correctness guarantees:
   the bytes the main process would. Results cross the process boundary
   by pickling, which round-trips ints and IEEE doubles exactly.
 * **Telemetry crosses into workers by sidecar, never by sharing.**
-  When the parent has a :class:`~repro.obs.Telemetry`, each worker
-  attaches its own local one, runs instrumented, and spools a
-  JSON snapshot (run record, spans, metrics, trace events) to a
-  content-addressed sidecar file next to the run's ``SimCache``
-  entry; the parent merges it back into one manifest and one
-  multi-process Perfetto trace. Span trace ids derive from the run
-  fingerprint, so parent and worker agree without extra transport.
-  Sidecar failures degrade to the old uninstrumented ``sim_run``
-  record — they never fail the run. Attaching (or not attaching)
-  telemetry never changes simulation results.
+  Each worker runs under its own :class:`~repro.obs.Telemetry` and
+  spools a JSON snapshot to a content-addressed sidecar file, which
+  the parent merges into one manifest and one multi-process Perfetto
+  trace (span trace ids derive from the run fingerprint). Sidecar
+  failures degrade to an uninstrumented ``sim_run`` record and never
+  fail the run; telemetry never changes simulation results.
 * **Deterministic scheduling irrelevance.** Completion order only
   affects cache-fill order, never values; experiments read results by
   fingerprint.
 
-Resilience guarantees (policy in :mod:`repro.experiments.resilience`,
-proven by the chaos tests in ``tests/integration/test_fault_tolerance``):
+Work units. The pending runs become *units*, each a tuple of runs
+plus whether it is batched. ``batching="off"`` makes one per-run unit
+per run; ``auto`` batches every cohort (:mod:`repro.experiments.batch`)
+of two or more runs and gives each singleton its own per-run unit;
+``force`` batches every cohort. A batched unit runs all its members on
+one worker, so they share one trace-generation pass.
 
-* **One run's failure never unwinds the plan.** A worker exception is
-  classified (transient vs deterministic), retried with exponential
-  backoff and fingerprint-derived deterministic jitter, and — if it
-  keeps failing — recorded as a terminal failure while the other runs
-  complete (*partial-result semantics*).
-* **A killed worker doesn't discard in-flight work.** On
-  ``BrokenProcessPool`` the pool is rebuilt (bounded by a respawn
-  budget) and every in-flight run is requeued; since the pool cannot
-  say *which* worker died, the requeued runs execute one-at-a-time in
-  the fresh pool until the culprit is identified in isolation.
-* **A hung worker is abandoned, not waited on.** With a per-run
-  wall-clock timeout (``RetryPolicy.run_timeout_s``) the engine
-  terminates the pool under a stuck run, requeues the innocent
-  in-flight runs without an attempt penalty, and charges the hung run
-  a :class:`~repro.errors.WorkerTimeoutError` failure.
-* **Runs that fail identically twice are quarantined** so a
-  deterministic bug costs at most two attempts, and the manifest
-  distinguishes "worth a rerun" from "needs triage".
+Supervision. One :class:`_PoolSupervisor` drives every unit through one
+pool, one respawn budget (``RetryPolicy.max_pool_respawns``), one
+deadline/wait loop and one teardown, by a single rule table (retry
+policy in :mod:`repro.experiments.resilience`, proven by the chaos
+tests in ``tests/integration/test_fault_tolerance`` and
+``test_batch_equivalence``):
+
+* **A batched unit completes.** Each member's result is delivered. A
+  member that raised is requeued alone as a per-run unit
+  (``batch_fallbacks``).
+* **A per-run unit raises.** :class:`~repro.experiments.resilience.
+  RunSupervisor` classifies the failure (transient vs deterministic)
+  and decides: retry after exponential backoff with fingerprint-derived
+  jitter, fail, or quarantine a run that failed identically twice. One
+  run's failure never unwinds the plan (*partial-result semantics*).
+* **The pool breaks** (``BrokenProcessPool``). In-flight units that
+  already finished still deliver. A per-run unit that was alone in
+  flight is the proven culprit and is charged. Otherwise each batched
+  victim splits in half (``batch_bisections``), a half of one becoming
+  a per-run unit (``batch_fallbacks``), and per-run victims rerun
+  isolated — one at a time — without an attempt charge, so the next
+  break names the culprit.
+* **The watchdog fires.** With ``RetryPolicy.run_timeout_s`` a unit's
+  deadline is that budget times its size. The pool under a stuck unit
+  is terminated, not waited on. An expired per-run unit is charged a
+  :class:`~repro.errors.WorkerTimeoutError`, an expired batched unit
+  bisects, and innocent in-flight units requeue whole.
+* **The respawn budget runs out.** Every pool rebuild counts against
+  the plan's one budget and writes one ``pool_respawn`` record; past
+  the budget everything still outstanding fails rather than thrash.
 * **Ctrl-C drains cleanly.** ``KeyboardInterrupt`` tears the pool down,
   keeps every completed result in the caches, marks the summary
   interrupted, and re-raises for the CLI to persist the manifest and
@@ -69,6 +81,7 @@ import shutil
 import tempfile
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -76,9 +89,9 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerTimeoutError
 from ..obs import tracing
@@ -86,6 +99,7 @@ from ..obs.logging import get_logger, log_context
 from ..obs.manifest import _jsonable
 from ..sim.checkpoint import CheckpointPlan, CheckpointStore
 from ..testing.faults import maybe_inject
+from . import batch
 from .base import (
     RunRequest,
     _SIM_CACHE,
@@ -208,14 +222,10 @@ def _spool_sidecar(telemetry, fingerprint: str,
 
 
 class _WorkerEnv:
-    """Per-plan worker context shared by the per-run executor and the
-    batched cohort tier (:mod:`repro.experiments.batch`): the active
-    disk cache and telemetry, the checkpoint spec shipped to workers,
-    the telemetry-sidecar spool directory, and the single delivery path
-    every completed run takes back into the caches and manifest.
-
-    Factoring this out of :class:`_PlanExecutor` is what makes batched
-    execution byte-identical on the parent side too — both tiers merge
+    """Per-plan worker context: the active disk cache and telemetry,
+    the checkpoint spec shipped to workers, the telemetry-sidecar spool
+    directory, and the single delivery path every completed run takes
+    back into the caches and manifest — per-run and batched units merge
     worker results through literally the same :meth:`deliver` code."""
 
     def __init__(self) -> None:
@@ -296,69 +306,70 @@ class _WorkerEnv:
             self._spool_tmp = None
 
 
-@dataclass
-class _Flight:
-    """One in-flight submission."""
+@dataclass(frozen=True)
+class _Unit:
+    """One pool submission: a single run, or a cohort of runs batched
+    on one worker (:func:`repro.experiments.batch._cohort_execute`)."""
 
-    request: RunRequest
-    attempt: int
-    deadline: Optional[float]  # monotonic seconds, None = no watchdog
-    isolated: bool = False     # running alone to identify a pool-killer
+    runs: Tuple[RunRequest, ...]
+    batched: bool = False
+    key: str = ""           # cohort key of a batched unit, for its records
+    attempt: int = 1        # the attempt a per-run unit executes as
+    isolated: bool = False  # a pool-break suspect: runs alone
 
 
-class _PlanExecutor:
-    """Supervised execution of one deduplicated, cache-missing run set."""
+def _plan_units(pending: List[RunRequest], batching: str) -> List[_Unit]:
+    """Lower the pending runs into work units: ``off`` makes one unit
+    per run, ``auto`` batches cohorts of two or more runs, ``force``
+    batches every cohort."""
+    if batching == "off":
+        return [_Unit((request,)) for request in pending]
+    units: List[_Unit] = []
+    for cohort in batch.partition_cohorts(pending):
+        if batching == "force" or cohort.size >= 2:
+            units.append(_Unit(cohort.members, True, cohort.key))
+        else:
+            units.extend(_Unit((request,)) for request in cohort.members)
+    return units
 
-    def __init__(self, pending: List[RunRequest], jobs: int,
-                 window: int, policy: RetryPolicy, summary: Dict[str, object],
-                 env: Optional[_WorkerEnv] = None):
+
+class _PoolSupervisor:
+    """Supervised execution of a plan's work units on one pool, under
+    the rule table in the module docstring."""
+
+    def __init__(self, units: List[_Unit], jobs: int, policy: RetryPolicy,
+                 summary: Dict[str, object], env: _WorkerEnv):
+        self.jobs = jobs
         self.policy = policy
         self.supervisor = RunSupervisor(policy)
         self.summary = summary
-        self.n_workers = min(jobs, len(pending))
-        self.window = window
-        #: Ready work: ``(request, attempt)`` in submission order.
-        self.work: Deque[Tuple[RunRequest, int]] = deque(
-            (request, 1) for request in pending)
-        #: Runs to execute one-at-a-time (pool-break culprits unknown).
-        self.suspects: Deque[Tuple[RunRequest, int]] = deque()
-        #: Backoff heap: ``(ready_at, seq, request, attempt, isolated)``.
-        self.delayed: List[Tuple[float, int, RunRequest, int, bool]] = []
+        self.env = env
+        self.work: Deque[_Unit] = deque(units)
+        #: Isolated units, submitted one at a time.
+        self.suspects: Deque[_Unit] = deque()
+        #: Backoff heap: ``(ready_at, seq, unit)``.
+        self.delayed: List[Tuple[float, int, _Unit]] = []
         self._delay_seq = 0
-        self.futures: Dict[Future, _Flight] = {}
+        #: In flight: future -> ``(unit, deadline)``, the deadline in
+        #: monotonic seconds (``None`` = no watchdog).
+        self.futures: Dict[Future, Tuple[_Unit, Optional[float]]] = {}
         self.pool: Optional[ProcessPoolExecutor] = None
-        self.respawns = 0
+        self.window = 0
         self.aborted = False
-        self.env = env if env is not None else _WorkerEnv()
-        self._owns_env = env is None
-
-    @property
-    def telemetry(self):
-        return self.env.telemetry
-
-    @property
-    def ckpt_store(self) -> Optional[CheckpointStore]:
-        return self.env.ckpt_store
 
     # -- scheduling ----------------------------------------------------
 
     def run(self) -> None:
-        self._ensure_pool()
         try:
             while not self.aborted and (self.futures or self.work
-                                        or self.delayed or self.suspects):
-                self._promote_delayed()
+                                        or self.suspects or self.delayed):
+                now = time.monotonic()
+                while self.delayed and self.delayed[0][0] <= now:
+                    self._queue(heapq.heappop(self.delayed)[2])
                 self._fill()
                 if not self.futures:
-                    if self.delayed:
-                        self._sleep_until_ready()
-                        continue
-                    if not (self.work or self.suspects):
-                        break
-                    # Work exists but nothing could be submitted: the
-                    # pool must have died without a respawn — abort.
-                    if self.pool is None:
-                        break
+                    # Only backoff is left: sleep toward the next retry.
+                    time.sleep(min(self.delayed[0][0] - now, 0.25))
                     continue
                 done, _ = wait(set(self.futures),
                                timeout=self._wait_timeout(),
@@ -368,132 +379,199 @@ class _PlanExecutor:
                 self._check_deadlines()
         except KeyboardInterrupt:
             self.summary["interrupted"] = True
-            log.warning("interrupted: abandoning %d in-flight run(s), "
+            log.warning("interrupted: abandoning %d in-flight unit(s), "
                         "%d completed result(s) kept",
                         len(self.futures), self.summary["computed"])
             self._teardown_pool(terminate=True)
             raise
         finally:
             self._teardown_pool()
-            if self._owns_env:
-                self.env.cleanup()
 
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, _, request, attempt, isolated = heapq.heappop(self.delayed)
-            if isolated:
-                self.suspects.append((request, attempt))
-            else:
-                self.work.append((request, attempt))
+    def _queue(self, unit: _Unit) -> None:
+        (self.suspects if unit.isolated else self.work).append(unit)
 
     def _fill(self) -> None:
-        if self.pool is None:
+        if not (self.work or self.suspects):
             return
+        if self.pool is None:
+            # Sized for what is outstanding now, so a pool rebuilt after
+            # a bisection can run both halves at once. The window bounds
+            # how many pickled configs are in flight at once.
+            n_workers = min(self.jobs, len(self.work) + len(self.suspects)
+                            + len(self.delayed))
+            self.pool = ProcessPoolExecutor(max_workers=n_workers)
+            self.window = 4 * n_workers
         if self.suspects:
             # Isolation mode: one submission at a time until the
             # suspect queue (and anything it respawns) drains.
             if not self.futures:
-                request, attempt = self.suspects.popleft()
-                self._submit(request, attempt, isolated=True)
+                self._submit(self.suspects.popleft())
             return
         while self.work and len(self.futures) < self.window:
-            request, attempt = self.work.popleft()
-            self._submit(request, attempt)
+            self._submit(self.work.popleft())
 
-    def _submit(self, request: RunRequest, attempt: int,
-                isolated: bool = False) -> None:
+    def _submit(self, unit: _Unit) -> None:
         deadline = None
         if self.policy.run_timeout_s is not None:
-            deadline = time.monotonic() + self.policy.run_timeout_s
-        future = self.pool.submit(_worker_execute, request,
-                                  self.env.obs_spec(), self.env.ckpt_spec)
-        self.futures[future] = _Flight(request, attempt, deadline, isolated)
-
-    def _defer(self, request: RunRequest, attempt: int, delay: float,
-               isolated: bool) -> None:
-        self._delay_seq += 1
-        heapq.heappush(self.delayed, (time.monotonic() + delay,
-                                      self._delay_seq, request, attempt,
-                                      isolated))
+            # A batched unit is up to ``size`` serial runs.
+            deadline = (time.monotonic()
+                        + self.policy.run_timeout_s * len(unit.runs))
+        # Entry points are looked up on their modules at call time, so
+        # a wrapper installed on the module attribute is what runs.
+        if unit.batched:
+            future = self.pool.submit(batch._cohort_execute,
+                                      list(unit.runs), self.env.obs_spec(),
+                                      self.env.ckpt_spec)
+        else:
+            future = self.pool.submit(_worker_execute, unit.runs[0],
+                                      self.env.obs_spec(),
+                                      self.env.ckpt_spec)
+        self.futures[future] = (unit, deadline)
 
     def _wait_timeout(self) -> Optional[float]:
-        candidates = [flight.deadline for flight in self.futures.values()
-                      if flight.deadline is not None]
+        candidates = [deadline for _, deadline in self.futures.values()
+                      if deadline is not None]
         if self.delayed:
             candidates.append(self.delayed[0][0])
         if not candidates:
             return None
         return max(0.0, min(candidates) - time.monotonic()) + 0.02
 
-    def _sleep_until_ready(self) -> None:
-        pause = self.delayed[0][0] - time.monotonic()
-        if pause > 0:
-            time.sleep(min(pause, 0.25))
-
-    # -- completion and failure handling -------------------------------
+    # -- completion ----------------------------------------------------
 
     def _collect(self, done: Iterable[Future]) -> None:
         broken: Optional[BaseException] = None
-        casualties: List[_Flight] = []
+        casualties: List[_Unit] = []
         for future in done:
-            flight = self.futures.pop(future, None)
-            if flight is None:
+            unit, _deadline = self.futures.pop(future, (None, None))
+            if unit is None:
                 continue
             try:
-                _key, result, worker_pid, sidecar = future.result()
+                outcome = future.result()
             except BrokenProcessPool as exc:
                 broken = broken or exc
-                casualties.append(flight)
+                casualties.append(unit)
             except KeyboardInterrupt:
                 raise
             except BaseException as exc:  # worker raised: pool is fine
-                self._handle_failure(flight, exc)
+                if unit.batched:
+                    # The cohort task itself failed (pickling, OS
+                    # trouble), not a member.
+                    self._fall_back(unit, unit.runs,
+                                    f"{type(exc).__name__}: {exc}")
+                else:
+                    self._handle_failure(unit, exc)
             else:
-                self._deliver(flight, result, worker_pid, sidecar)
+                self._deliver(unit, outcome)
         if broken is not None:
             self._pool_broken(casualties, broken)
 
-    def _deliver(self, flight: _Flight, result, worker_pid: int,
-                 sidecar: Optional[str] = None) -> None:
-        self.env.deliver(flight.request, result, worker_pid, sidecar,
-                         self.summary)
+    def _deliver(self, unit: _Unit, outcome) -> None:
+        if not unit.batched:
+            _key, result, worker_pid, sidecar = outcome
+            self.env.deliver(unit.runs[0], result, worker_pid, sidecar,
+                             self.summary)
+            return
+        worker_pid, outcomes = outcome
+        by_fingerprint = {r.fingerprint: r for r in unit.runs}
+        errored: List[RunRequest] = []
+        for fingerprint, result, error, sidecar in outcomes:
+            request = by_fingerprint[fingerprint]
+            if error is None:
+                self.env.deliver(request, result, worker_pid, sidecar,
+                                 self.summary)
+            else:
+                errored.append(request)
+        delivered = len(unit.runs) - len(errored)
+        self.summary["batch_cohorts"] += 1
+        self.summary["batch_runs"] += delivered
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_batch_cohort(
+                action="executed", key=unit.key, size=len(unit.runs),
+                delivered=delivered,
+            )
+        if errored:
+            self._fall_back(unit, errored, f"{len(errored)} member(s) "
+                                           f"raised inside the cohort")
+
+    def _fall_back(self, unit: _Unit, runs: Sequence[RunRequest],
+                   note: str, isolated: bool = False) -> None:
+        """Requeue ``runs`` of a batched unit alone, as per-run units —
+        isolated when a pool break made them suspects."""
+        log.warning("cohort %s: %d run(s) fall back to per-run units: %s",
+                    unit.key[:12], len(runs), note)
+        self.summary["batch_fallbacks"] += len(runs)
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_batch_cohort(
+                action="fallback", key=unit.key, size=len(runs),
+                detail=note,
+            )
+        for request in runs:
+            self._queue(_Unit((request,), isolated=isolated))
+
+    def _split(self, unit: _Unit) -> None:
+        """Bisect a suspect batched unit toward its culprit: halves
+        requeue at the front, and a half of one is a per-run suspect."""
+        if len(unit.runs) == 1:
+            self._fall_back(unit, unit.runs, "cohort of one failed batched",
+                            isolated=True)
+            return
+        self.summary["batch_bisections"] += 1
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_batch_cohort(
+                action="bisect", key=unit.key, size=len(unit.runs),
+            )
+        mid = len(unit.runs) // 2
+        log.warning("bisecting cohort %s: %d -> %d + %d run(s)",
+                    unit.key[:12], len(unit.runs), mid,
+                    len(unit.runs) - mid)
+        for half in (unit.runs[mid:], unit.runs[:mid]):
+            if len(half) == 1:
+                self._fall_back(unit, half, "bisected to one run",
+                                isolated=True)
+            else:
+                self.work.appendleft(_Unit(half, True, unit.key))
+
+    # -- failure handling ----------------------------------------------
 
     def _checkpoint_progress(self, request: RunRequest) -> Optional[int]:
         """Writes completed by the run's newest capsule, or ``None``.
         Read from the capsule header only — cheap enough for the failure
         path, and a lying header merely misjudges retry budget, never
         correctness (the resume path fully validates)."""
-        if self.ckpt_store is None:
+        if self.env.ckpt_store is None:
             return None
-        meta = self.ckpt_store.latest_meta(request.fingerprint)
+        meta = self.env.ckpt_store.latest_meta(request.fingerprint)
         if meta is None:
             return None
         writes_done = meta.get("writes_done")
         return int(writes_done) if isinstance(writes_done, int) else None
 
-    def _handle_failure(self, flight: _Flight, exc: BaseException) -> None:
+    def _handle_failure(self, unit: _Unit, exc: BaseException) -> None:
+        """A per-run unit failed: retry it after backoff, or record the
+        supervisor's terminal verdict."""
+        request = unit.runs[0]
         verdict, delay = self.supervisor.on_failure(
-            flight.request, exc,
-            progress=self._checkpoint_progress(flight.request),
+            request, exc, progress=self._checkpoint_progress(request),
         )
-        request = flight.request
-        if verdict == RETRY:
-            self.summary["retried"] += 1
-            attempt = flight.attempt + 1
-            log.warning("run %s/%s failed (%s: %s) — retry %d in %.2fs",
-                        request.workload, request.scheme,
-                        type(exc).__name__, exc, attempt - 1, delay)
-            if self.telemetry is not None:
-                self.telemetry.record_retry(
-                    fingerprint=request.fingerprint,
-                    workload=request.workload, scheme=request.scheme,
-                    attempt=attempt, delay_s=delay,
-                    error_type=type(exc).__name__,
-                )
-            self._defer(request, attempt, delay, flight.isolated)
+        if verdict != RETRY:
+            self._record_terminal(self.supervisor.failures[-1])
             return
-        self._record_terminal(self.supervisor.failures[-1])
+        self.summary["retried"] += 1
+        log.warning("run %s/%s failed (%s: %s) — retry %d in %.2fs",
+                    request.workload, request.scheme,
+                    type(exc).__name__, exc, unit.attempt, delay)
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_retry(
+                fingerprint=request.fingerprint,
+                workload=request.workload, scheme=request.scheme,
+                attempt=unit.attempt + 1, delay_s=delay,
+                error_type=type(exc).__name__,
+            )
+        self._delay_seq += 1
+        heapq.heappush(self.delayed, (
+            time.monotonic() + delay, self._delay_seq,
+            replace(unit, attempt=unit.attempt + 1)))
 
     def _record_terminal(self, failure: RunFailure) -> None:
         if failure.verdict == QUARANTINE:
@@ -511,14 +589,120 @@ class _PlanExecutor:
                         f"{failure.error_type}: {failure.error} "
                         f"({failure.verdict} after {failure.attempts} "
                         f"attempt(s))")
-        if self.telemetry is not None:
-            self.telemetry.record_run_failure(failure.as_record())
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_run_failure(failure.as_record())
+
+    def _drain(self) -> List[_Unit]:
+        """Empty the in-flight set ahead of a pool teardown: units that
+        already finished deliver, the rest are returned."""
+        victims: List[_Unit] = []
+        for future, (unit, _deadline) in list(self.futures.items()):
+            del self.futures[future]
+            if future.done() and future.exception() is None:
+                self._deliver(unit, future.result())
+            else:
+                victims.append(unit)
+        return victims
+
+    def _pool_broken(self, casualties: List[_Unit],
+                     exc: BaseException) -> None:
+        """The pool died under us. A per-run unit alone in flight is the
+        proven culprit and is charged; otherwise batched victims bisect
+        and per-run victims rerun isolated, uncharged."""
+        victims = casualties + self._drain()
+        if not self._respawn("broken_pool", exc, victims):
+            return
+        if len(victims) == 1 and not victims[0].batched:
+            self._handle_failure(replace(victims[0], isolated=True), exc)
+            return
+        for unit in victims:
+            if unit.batched:
+                self._split(unit)
+            else:
+                self.suspects.append(replace(unit, isolated=True))
+
+    def _check_deadlines(self) -> None:
+        if self.policy.run_timeout_s is None or not self.futures:
+            return
+        now = time.monotonic()
+        expired: List[_Unit] = []
+        for future, (unit, deadline) in list(self.futures.items()):
+            if deadline is None or now < deadline:
+                continue
+            if future.done():
+                continue  # finished between wait() and here; next loop
+            del self.futures[future]
+            expired.append(unit)
+        if not expired:
+            return
+        # A worker is stuck. There is no portable way to kill a single
+        # pool worker, so the whole pool is abandoned: expired per-run
+        # units are charged a WorkerTimeoutError, expired batched units
+        # bisect toward the hanging member, and innocent in-flight units
+        # requeue whole.
+        innocents = self._drain()
+        self.summary["timeouts"] += sum(not unit.batched
+                                        for unit in expired)
+        if not self._respawn("watchdog_timeout", None, expired + innocents):
+            return
+        self.work.extendleft(reversed(innocents))
+        for unit in expired:
+            if unit.batched:
+                self._split(unit)
+            else:
+                self._handle_failure(unit, WorkerTimeoutError(
+                    f"no result within the {self.policy.run_timeout_s:.1f}s "
+                    f"wall-clock budget; worker abandoned"
+                ))
+
+    def _respawn(self, reason: str, exc: Optional[BaseException],
+                 victims: List[_Unit]) -> bool:
+        """Tear the pool down and charge the plan's one respawn budget
+        (the next fill rebuilds the pool). Past the budget, everything
+        outstanding fails and ``False`` is returned."""
+        self._teardown_pool(terminate=True)
+        self.summary["pool_respawns"] += 1
+        respawns = self.summary["pool_respawns"]
+        within_budget = respawns <= self.policy.max_pool_respawns
+        n_victims = sum(len(unit.runs) for unit in victims)
+        if self.env.telemetry is not None:
+            self.env.telemetry.record_pool_respawn(
+                respawns=respawns, reason=reason,
+                requeued=n_victims if within_budget else 0,
+                error=str(exc) if exc is not None else None,
+            )
+        if within_budget:
+            log.warning("pool respawn %d/%d (%s): %d in-flight run(s) "
+                        "affected", respawns,
+                        self.policy.max_pool_respawns, reason, n_victims)
+            return True
+        # A victim was in flight, so its next attempt is the one denied.
+        outstanding = ([replace(unit, attempt=unit.attempt + 1)
+                        for unit in victims]
+                       + list(self.work) + list(self.suspects)
+                       + [unit for _, _, unit in self.delayed])
+        note = (f"pool respawn budget ({self.policy.max_pool_respawns}) "
+                f"exhausted during {reason}")
+        log.error("%s; failing %d outstanding run(s)", note,
+                  sum(len(unit.runs) for unit in outstanding))
+        for unit in outstanding:
+            for request in unit.runs:
+                failure = RunFailure(
+                    fingerprint=request.fingerprint,
+                    workload=request.workload, scheme=request.scheme,
+                    error=note, error_type="BrokenProcessPool",
+                    failure_class=TRANSIENT, attempts=unit.attempt,
+                    verdict=FAIL,
+                )
+                self.supervisor.failures.append(failure)
+                self._record_terminal(failure)
+        self.work.clear()
+        self.suspects.clear()
+        self.delayed.clear()
+        self.aborted = True
+        return False
 
     # -- pool lifecycle ------------------------------------------------
-
-    def _ensure_pool(self) -> None:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.n_workers)
 
     def _teardown_pool(self, terminate: bool = False) -> None:
         pool, self.pool = self.pool, None
@@ -532,141 +716,15 @@ class _PlanExecutor:
         pool.shutdown(wait=not terminate, cancel_futures=True)
         if terminate:
             for proc in procs:
-                self._terminate(proc)
-
-    @staticmethod
-    def _terminate(proc) -> None:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-
-    def _pool_broken(self, casualties: List[_Flight],
-                     exc: BaseException) -> None:
-        """The pool died under us. Requeue every in-flight run; if there
-        was exactly one, the culprit is proven and charged."""
-        victims: List[_Flight] = list(casualties)
-        for future, flight in list(self.futures.items()):
-            del self.futures[future]
-            if future.done() and future.exception() is None:
-                _key, result, worker_pid, sidecar = future.result()
-                self._deliver(flight, result, worker_pid, sidecar)
-            else:
-                victims.append(flight)
-        self._respawn(victims, exc, reason="broken_pool", isolate=True)
-
-    def _check_deadlines(self) -> None:
-        if self.policy.run_timeout_s is None or not self.futures:
-            return
-        now = time.monotonic()
-        expired: List[_Flight] = []
-        for future, flight in list(self.futures.items()):
-            if flight.deadline is None or now < flight.deadline:
-                continue
-            if future.done():
-                continue  # finished between wait() and here; next loop
-            del self.futures[future]
-            expired.append(flight)
-        if not expired:
-            return
-        # A worker is stuck mid-run. There is no portable way to kill a
-        # single pool worker, so the whole pool is abandoned: innocent
-        # in-flight runs requeue without an attempt charge, the hung
-        # run(s) are charged a WorkerTimeoutError.
-        self.summary["timeouts"] += len(expired)
-        innocents: List[_Flight] = []
-        for future, flight in list(self.futures.items()):
-            del self.futures[future]
-            if future.done() and future.exception() is None:
-                _key, result, worker_pid, sidecar = future.result()
-                self._deliver(flight, result, worker_pid, sidecar)
-            else:
-                innocents.append(flight)
-        self._teardown_pool(terminate=True)
-        for flight in expired:
-            self._handle_failure(flight, WorkerTimeoutError(
-                f"no result within the {self.policy.run_timeout_s:.1f}s "
-                f"wall-clock budget; worker abandoned"
-            ))
-        self._respawn(innocents, None, reason="watchdog_timeout",
-                      isolate=False)
-
-    def _respawn(self, victims: List[_Flight],
-                 exc: Optional[BaseException], reason: str,
-                 isolate: bool) -> None:
-        """Rebuild the pool within the respawn budget and requeue
-        ``victims``; past the budget, everything outstanding fails."""
-        self._teardown_pool(terminate=True)
-        self.respawns += 1
-        self.summary["pool_respawns"] += 1
-        if self.respawns > self.policy.max_pool_respawns:
-            log.error("pool respawn budget exhausted (%d); failing %d "
-                      "outstanding run(s)", self.policy.max_pool_respawns,
-                      len(victims) + len(self.work) + len(self.suspects)
-                      + len(self.delayed))
-            note = (f"pool respawn budget ({self.policy.max_pool_respawns}) "
-                    f"exhausted during {reason}")
-            for flight in victims:
-                self._force_fail(flight.request, flight.attempt + 1, note)
-            for request, attempt in list(self.work):
-                self._force_fail(request, attempt, note)
-            for request, attempt in list(self.suspects):
-                self._force_fail(request, attempt, note)
-            for _, _, request, attempt, _ in self.delayed:
-                self._force_fail(request, attempt, note)
-            self.work.clear()
-            self.suspects.clear()
-            self.delayed.clear()
-            self.aborted = True
-            return
-        if self.telemetry is not None:
-            self.telemetry.record_pool_respawn(
-                respawns=self.respawns, reason=reason,
-                requeued=len(victims),
-                error=str(exc) if exc is not None else None,
-            )
-        if exc is not None and len(victims) == 1:
-            # The broken pool held exactly one run — a proven culprit.
-            flight = victims[0]
-            flight.isolated = True
-            self._handle_failure(flight, exc)
-        elif isolate:
-            # Culprit unknown: rerun all victims one at a time so the
-            # next break identifies it. No attempt charge.
-            log.warning("pool respawn %d/%d (%s): requeuing %d in-flight "
-                        "run(s) for isolated execution", self.respawns,
-                        self.policy.max_pool_respawns, reason, len(victims))
-            for flight in victims:
-                self.suspects.append((flight.request, flight.attempt))
-        else:
-            # Bystanders of a hung-worker teardown: the hung run was
-            # already charged, so these rejoin the normal queue.
-            log.warning("pool respawn %d/%d (%s): requeuing %d innocent "
-                        "in-flight run(s)", self.respawns,
-                        self.policy.max_pool_respawns, reason, len(victims))
-            for flight in victims:
-                self.work.appendleft((flight.request, flight.attempt))
-        self._ensure_pool()
-
-    def _force_fail(self, request: RunRequest, attempts: int,
-                    note: str) -> None:
-        failure = RunFailure(
-            fingerprint=request.fingerprint,
-            workload=request.workload,
-            scheme=request.scheme,
-            error=note,
-            error_type="BrokenProcessPool",
-            failure_class=TRANSIENT,
-            attempts=attempts,
-            verdict=FAIL,
-        )
-        self.supervisor.failures.append(failure)
-        self._record_terminal(failure)
+                try:
+                    proc.terminate()
+                except Exception:
+                    pass
 
 
-#: Accepted values for ``execute_plan(batching=...)``: ``off`` keeps
-#: the per-run tier only, ``auto`` batches cohorts of two or more runs
-#: (singletons gain nothing from batching), ``force`` batches every
+#: Accepted values for ``execute_plan(batching=...)``: ``off`` runs
+#: every run as its own unit, ``auto`` batches cohorts of two or more
+#: runs (singletons gain nothing from batching), ``force`` batches every
 #: cohort, including singletons.
 BATCHING_MODES = ("off", "auto", "force")
 
@@ -675,7 +733,6 @@ def execute_plan(
     requests: Iterable[RunRequest],
     jobs: int = 1,
     *,
-    max_pending: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     force: bool = False,
     batching: str = "off",
@@ -700,16 +757,11 @@ def execute_plan(
     supervision (retries, watchdog, crash containment) regardless of
     parallelism.
 
-    ``batching`` engages the cohort tier (:mod:`repro.experiments.
-    batch`): structurally-identical runs execute together on one worker
-    so the expensive trace-generation pass is paid once per cohort
-    instead of once per run. ``auto`` batches cohorts of ≥ 2 runs,
-    ``force`` batches everything, ``off`` (the default) keeps today's
-    per-run execution. Results are byte-identical either way; a
-    batching mode other than ``off`` implies ``force`` (an explicit
-    batching request executes the plan even at ``jobs=1``). Cohort
-    supervision counters land in the summary as ``batch_cohorts`` /
-    ``batch_runs`` / ``batch_bisections`` / ``batch_fallbacks``.
+    ``batching`` picks the work units (``off``, ``auto`` or ``force``;
+    see the module docstring). Results are byte-identical either way; a
+    mode other than ``off`` implies ``force``. Cohort counters land in
+    the summary as ``batch_cohorts`` / ``batch_runs`` /
+    ``batch_bisections`` / ``batch_fallbacks``.
 
     ``KeyboardInterrupt`` propagates after the pool is torn down and
     ``summary["interrupted"]`` is set — every already-computed result
@@ -763,39 +815,21 @@ def execute_plan(
         return summary
 
     jobs = max(jobs, 1)
-    policy = policy or RetryPolicy()
     env = _WorkerEnv()
     n_workers = min(jobs, len(pending))
     log.debug("prefetching %d runs on %d workers (%d memory hits, "
               "%d disk hits, batching=%s)", len(pending), n_workers,
               summary["memory"], summary["disk"], batching)
-
-    def _execute(pending: List[RunRequest]) -> None:
-        if batching != "off":
-            from .batch import run_batched
-
-            pending = run_batched(pending, jobs=jobs, policy=policy,
-                                  summary=summary, mode=batching, env=env)
-        if not pending:
-            return
-        # Bound the submission queue so a huge plan doesn't hold every
-        # pickled config in flight at once.
-        window = (max_pending if max_pending is not None
-                  else 4 * min(jobs, len(pending)))
-        _PlanExecutor(pending, jobs, window, policy, summary,
-                      env=env).run()
-
-    telemetry = env.telemetry
+    span = (env.telemetry.tracer.span(
+        "plan.execute",
+        attrs={"pending": len(pending), "unique": len(unique),
+               "jobs": n_workers, "batching": batching},
+    ) if env.telemetry is not None else nullcontext())
     try:
-        if telemetry is not None:
-            with telemetry.tracer.span(
-                "plan.execute",
-                attrs={"pending": len(pending), "unique": len(unique),
-                       "jobs": n_workers, "batching": batching},
-            ):
-                _execute(pending)
-        else:
-            _execute(pending)
+        with span:
+            units = _plan_units(pending, batching)
+            _PoolSupervisor(units, jobs, policy or RetryPolicy(), summary,
+                            env).run()
     finally:
         env.cleanup()
     return summary

@@ -25,6 +25,7 @@ the full 224-run quick-scale corpus gets the same treatment in CI via
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -83,23 +84,28 @@ def executed_results(requests, **plan_kwargs):
     return results, summary
 
 
+@pytest.mark.parametrize("batching", ["force", "auto"])
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_batched_equals_serial_and_pooled_for_every_experiment(kernel):
+def test_batched_equals_serial_and_pooled_for_every_experiment(kernel,
+                                                               batching):
     """Every run any experiment plans: serial, pooled per-run, and
     batched execution produce byte-identical results and identical
-    golden result fingerprints."""
+    golden result fingerprints, whichever cohorts the mode batches."""
     requests = registry_plan(kernel)
     assert len(requests) >= 20  # the registry really is covered
     truth = serial_truth(requests)
 
     pooled, pooled_summary = executed_results(requests, jobs=2)
     batched, batched_summary = executed_results(
-        requests, jobs=2, batching="force")
+        requests, jobs=2, batching=batching)
 
+    cohorts = partition_cohorts(requests)
+    if batching == "auto":
+        cohorts = [cohort for cohort in cohorts if cohort.size >= 2]
     assert pooled_summary["computed"] == len(requests)
     assert batched_summary["computed"] == len(requests)
-    assert batched_summary["batch_cohorts"] >= 1
-    assert batched_summary["batch_runs"] == len(requests)
+    assert batched_summary["batch_cohorts"] == len(cohorts)
+    assert batched_summary["batch_runs"] == sum(c.size for c in cohorts)
     assert batched_summary["failed"] == 0
     assert batched_summary["batch_fallbacks"] == 0
 
@@ -205,3 +211,46 @@ def test_crash_in_cohort_bisects_to_culprit_and_plan_completes(
         result = cache_get(request.fingerprint)
         assert result is not None
         assert result == truth[request.fingerprint]
+
+
+@pytest.mark.parametrize("mode", ["error", "crash"])
+def test_auto_plan_shares_one_pool_with_a_failing_singleton(monkeypatch,
+                                                            mode):
+    """Chaos under ``auto``: one plan holds a 4-run cohort (batched) and
+    a singleton (per-run) that raises — or hard-crashes its worker —
+    every time it runs. Both kinds of unit share one pool: the plan
+    starts one pool, and at most one more per counted respawn. The
+    innocents come out byte-identical to serial and the singleton is
+    the only failure."""
+    sweep = sweep_plan(n_budgets=4)
+    doomed = RunRequest(make_tiny_config(), "mcf_m", "fpb", MICRO_MULTI)
+    plan = sweep + [doomed]
+    assert sorted(c.size for c in partition_cohorts(plan)) == [1, 4]
+    truth = serial_truth(sweep)
+
+    pool_starts = []
+    pool_init = ProcessPoolExecutor.__init__
+
+    def counted_pool_init(self, *args, **kwargs):
+        pool_starts.append(1)
+        pool_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counted_pool_init)
+    monkeypatch.setenv(ENV_VAR, json.dumps([{
+        "point": "worker_run", "mode": mode, "match": doomed.fingerprint,
+    }]))
+    policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
+                         backoff_cap_s=0.05, max_pool_respawns=8)
+    summary = execute_plan(plan, jobs=2, batching="auto", policy=policy)
+
+    if mode == "error":
+        assert summary["pool_respawns"] == 0
+        assert len(pool_starts) == 1
+    assert len(pool_starts) <= 1 + summary["pool_respawns"]
+    assert summary["failed"] == 1
+    assert [f["fingerprint"] for f in summary["failures"]] == [
+        doomed.fingerprint]
+    assert summary["computed"] == len(sweep)
+    assert doomed.fingerprint in failed_runs()
+    for request in sweep:
+        assert cache_get(request.fingerprint) == truth[request.fingerprint]

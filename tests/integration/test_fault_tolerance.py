@@ -33,10 +33,12 @@ from repro.experiments.base import (
     mark_run_failed,
     sim,
     use_disk_cache,
+    use_telemetry,
 )
 from repro.experiments.engine import dedupe_requests, execute_plan
 from repro.experiments.fig17_mr_split import Fig17MRSplit
 from repro.experiments.resilience import RetryPolicy
+from repro.obs import Telemetry
 from repro.sim.simcache import SimCache
 from repro.testing.faults import (
     ENV_VAR,
@@ -147,26 +149,35 @@ class TestWorkerCrash:
 
 
 class TestRespawnBudget:
-    def test_budget_exhaustion_fails_outstanding_not_hangs(self, tmp_path,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("batching", ["off", "force"])
+    def test_budget_exhaustion_fails_outstanding_not_hangs(
+            self, tmp_path, monkeypatch, batching):
         """Every run crashes its worker; with a respawn budget of 1 the
         engine must give up promptly — failing everything outstanding —
-        rather than thrash pools or spin forever."""
+        rather than thrash pools or spin forever. Batched or not, the
+        plan has one budget, and every counted respawn is recorded."""
         config = make_tiny_config()
         requests = micro_plan(config)
+        assert len(requests) == 4
         monkeypatch.setenv(ENV_VAR, json.dumps([{
             "point": "worker_run", "mode": "crash",
         }]))
         use_disk_cache(SimCache(tmp_path / "cache"))
+        telemetry = Telemetry()
+        use_telemetry(telemetry)
         policy = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                              max_pool_respawns=1)
-        summary = execute_plan(requests, jobs=2, policy=policy)
+        summary = execute_plan(requests, jobs=2, policy=policy,
+                               batching=batching)
         assert summary["computed"] == 0
         assert summary["failed"] == len(requests)
         assert summary["pool_respawns"] == 2  # the allowed one + the fatal one
         assert len(summary["failures"]) == len(requests)
         for request in requests:
             assert request.fingerprint in failed_runs()
+        respawn_records = [event for event in telemetry.resilience_events
+                           if event["type"] == "pool_respawn"]
+        assert len(respawn_records) == summary["pool_respawns"]
 
 
 class TestHungWorker:
