@@ -8,8 +8,6 @@ Section 2.1.3).
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -17,14 +15,43 @@ import numpy as np
 from ..errors import TraceError
 
 
+class _Block:
+    """One bulk write: its rows plus a sorted index of their addresses.
+
+    ``keys`` holds each distinct address once, sorted, and ``rows`` the
+    row that holds its contents (the later one for a repeated address).
+    """
+
+    __slots__ = ("data", "keys", "rows", "lo", "hi")
+
+    def __init__(self, data: np.ndarray, addrs: np.ndarray):
+        order = np.argsort(addrs, kind="stable")
+        keys = addrs[order]
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        self.data = data
+        self.keys = keys[last]
+        self.rows = order[last]
+        self.lo = int(self.keys[0])
+        self.hi = int(self.keys[-1])
+
+    def get(self, line_addr: int) -> Optional[np.ndarray]:
+        if self.lo <= line_addr <= self.hi:
+            i = self.keys.searchsorted(line_addr)
+            if self.keys[i] == line_addr:
+                return self.data[self.rows[i]]
+        return None
+
+
 class LineStore:
     """Maps line-aligned addresses to their current byte contents.
 
     Lines written one at a time live in ``_lines``. A bulk write keeps
-    its whole block and indexes its rows by address in ``_rows`` (global
-    row numbers, counted across ``_blocks`` from ``_starts``), so a
-    block of lines costs one array and one dict entry per line. An
-    address lives in exactly one of the two.
+    its whole block with a sorted address index (:class:`_Block`), so a
+    block of lines costs one array and 16 bytes of index per line rather
+    than a dict entry each. A lookup tries ``_lines`` and then the
+    blocks newest first; a bulk write drops the ``_lines`` copies of its
+    addresses, so the latest write of an address is always the one found.
     """
 
     def __init__(self, line_size: int):
@@ -32,18 +59,22 @@ class LineStore:
             raise TraceError(f"line size must be positive, got {line_size}")
         self.line_size = line_size
         self._lines: Dict[int, np.ndarray] = {}
-        self._blocks: List[np.ndarray] = []
-        self._starts: List[int] = []
-        self._rows: Dict[int, int] = {}
+        self._blocks: List[_Block] = []
 
     def __len__(self) -> int:
-        return len(self._lines) + len(self._rows)
+        return len(self._address_set())
 
     def __contains__(self, line_addr: int) -> bool:
-        return line_addr in self._lines or line_addr in self._rows
+        return self._line(line_addr) is not None
 
     def addresses(self) -> Iterator[int]:
-        return itertools.chain(self._lines, self._rows)
+        return iter(sorted(self._address_set()))
+
+    def _address_set(self) -> set:
+        keys = set(self._lines)
+        for block in self._blocks:
+            keys.update(block.keys.tolist())
+        return keys
 
     def _check_aligned(self, line_addr: int) -> None:
         if line_addr % self.line_size:
@@ -55,10 +86,10 @@ class LineStore:
         """The stored line itself (a block row is a view), or ``None``."""
         line = self._lines.get(line_addr)
         if line is None:
-            row = self._rows.get(line_addr)
-            if row is not None:
-                k = bisect.bisect_right(self._starts, row) - 1
-                line = self._blocks[k][row - self._starts[k]]
+            for block in reversed(self._blocks):
+                line = block.get(line_addr)
+                if line is not None:
+                    break
         return line
 
     def read(self, line_addr: int) -> np.ndarray:
@@ -80,7 +111,6 @@ class LineStore:
             raise TraceError(
                 f"line data must be {self.line_size} bytes, got {data.size}"
             )
-        self._rows.pop(line_addr, None)
         self._lines[line_addr] = data.copy()
 
     def write_rows(self, line_addrs: np.ndarray, block: np.ndarray) -> None:
@@ -97,18 +127,19 @@ class LineStore:
                 f"block must be {addrs.size} x {self.line_size} bytes, "
                 f"got {block.shape}"
             )
-        if addrs.size and (addrs % self.line_size).any():
+        if not addrs.size:
+            return
+        if (addrs % self.line_size).any():
             raise TraceError(
                 f"addresses must be {self.line_size}-byte aligned"
             )
-        keys = addrs.tolist()
+        block = _Block(block, addrs)
         if self._lines:
-            for addr in self._lines.keys() & set(keys):
+            lines = np.fromiter(self._lines, np.int64, len(self._lines))
+            i = np.minimum(block.keys.searchsorted(lines), block.keys.size - 1)
+            for addr in lines[block.keys[i] == lines].tolist():
                 del self._lines[addr]
-        first = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
-        self._starts.append(first)
         self._blocks.append(block)
-        self._rows.update(zip(keys, range(first, first + len(keys))))
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
         """Write an arbitrary (possibly unaligned) byte span."""

@@ -11,7 +11,11 @@ Two practical devices keep generation tractable:
 * **L3 prewarming** — each L3 is filled with plausibly-dirty resident
   lines before recording starts, so the trace reflects steady-state
   eviction behaviour without simulating the 100M+ instruction warm-up
-  the paper's SimPoint phases imply.
+  the paper's SimPoint phases imply. The eviction-facing dirty lines get
+  fabricated (old, new) version pairs (:func:`~repro.trace.synthetic.
+  data.make_line_pair`), installed with one bulk
+  :meth:`~repro.pcm.contents.LineStore.write_rows` per image. Both
+  kernels share this one path, so it never changes a trace's bytes.
 * **Gap calibration** — instruction gaps are rescaled after generation
   so each core's PCM-level RPKI matches its benchmark's Table 2 target
   exactly (gaps don't affect cache behaviour, so this is lossless).
@@ -144,10 +148,7 @@ def _generate_core(
     )
     base = (core_id + 1) * CORE_ADDR_STRIDE
     if prewarm:
-        _prewarm_l3(
-            hierarchy, image, pcm_image, bench, base, rng,
-            bulk=sampler.kernel.vectorized,
-        )
+        _prewarm_l3(hierarchy, image, pcm_image, bench, base, rng)
 
     stream: List[PCMAccess] = []
     stats = TraceStats()
@@ -233,7 +234,6 @@ def _prewarm_l3(
     bench,
     base: int,
     rng: np.random.Generator,
-    bulk: bool = False,
 ) -> None:
     """Fill every L3 set to full associativity so evictions reflect
     steady state from the first miss.
@@ -276,21 +276,12 @@ def _prewarm_l3(
     tail_dirty = dirty[:, ways - tail:]
     sets_idx, ways_off = np.nonzero(tail_dirty)
     old_block, new_block = bench.prewarm_line_pairs(rng, sets_idx.size, line_size)
-    if bulk:
-        # Vectorized kernel: compute every row's address at once and
-        # install both stores with bulk writes. Row order matches the
-        # scalar loop, so duplicate tags resolve identically.
-        tags = rel_tags[sets_idx, ways - tail + ways_off]
-        addrs = ((base_tag + tags) * n_sets + sets_idx) * line_size
-        pcm_image.write_rows(addrs, old_block)
-        image.write_rows(addrs, new_block)
-    else:
-        for row in range(sets_idx.size):
-            s = int(sets_idx[row])
-            k = ways - tail + int(ways_off[row])
-            abs_line = (base_tag + int(rel_tags[s, k])) * n_sets + s
-            pcm_image.write(abs_line * line_size, old_block[row])
-            image.write(abs_line * line_size, new_block[row])
+    # One bulk write per store. Rows keep (set, way) order, so a
+    # residual duplicate tag resolves as a row-by-row install would.
+    tags = rel_tags[sets_idx, ways - tail + ways_off]
+    addrs = ((base_tag + tags) * n_sets + sets_idx) * line_size
+    pcm_image.write_rows(addrs, old_block)
+    image.write_rows(addrs, new_block)
     hierarchy.pending_cycles = 0
 
 

@@ -13,11 +13,17 @@ content:
 * ``fp``   — double-precision values near 1.0: sign/exponent and high
   mantissa bytes are all populated, spreading changes across the word.
 * ``random`` — text/genome payloads: uniformly random bytes.
+
+:func:`make_line_pair` turns a block into (old, new) version pairs for
+the L3 prewarm. Its delta is defined per value word (32-bit for ``int``,
+64-bit for ``fp`` and ``random``): a word mask selects which bits take
+fresh random content, applied as one bitwise select over the block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ...errors import TraceError
 
@@ -50,23 +56,24 @@ def make_line_block(
 
 
 #: Per-kind steady-state write-increment model (Section 4.3's data
-#: observations). ``unit`` is the value granularity in bytes, ``pattern``
-#: which bytes of a touched unit change (little-endian: byte 0 holds the
-#: lowest-order bits -> the lowest-order cells), ``cluster`` how many
-#: units a modification run covers (struct updates / stencil fronts are
-#: spatially clustered, which is what concentrates changes in one chip
-#: under the naive mapping), ``density`` the fraction of units touched,
-#: and ``full_frac`` the fraction of touched units rewritten entirely
-#: (pointer stores, fresh payloads).
+#: observations). ``unit`` is the value granularity in bytes (one
+#: little-endian word: byte 0 holds the lowest-order bits -> the
+#: lowest-order cells), ``pattern`` the bits of a touched unit that
+#: change, ``cluster`` how many units a modification run covers (struct
+#: updates / stencil fronts are spatially clustered, which is what
+#: concentrates changes in one chip under the naive mapping),
+#: ``density`` the fraction of units touched, and ``full_frac`` the
+#: fraction of touched units rewritten entirely (pointer stores, fresh
+#: payloads).
 _DELTA_MODELS = {
     # 32-bit integers: the low-order byte churns (counters, indices).
-    "int": dict(unit=4, pattern=(1, 0, 0, 0), cluster=16, density=0.40,
+    "int": dict(unit=4, pattern=0xFF, cluster=16, density=0.40,
                 full_frac=0.20),
     # Doubles: sign/exponent stable, low five mantissa bytes churn.
-    "fp": dict(unit=8, pattern=(1, 1, 1, 1, 1, 0, 0, 0), cluster=4,
+    "fp": dict(unit=8, pattern=0xFF_FFFF_FFFF, cluster=4,
                density=0.55, full_frac=0.05),
     # Text/genome payloads: whole values replaced, in sequential runs.
-    "random": dict(unit=8, pattern=(1, 1, 1, 1, 1, 1, 1, 1), cluster=2,
+    "random": dict(unit=8, pattern=0xFFFF_FFFF_FFFF_FFFF, cluster=2,
                    density=0.28, full_frac=0.0),
 }
 
@@ -81,10 +88,11 @@ def _clustered_mask(
     n_blocks = n_units // cluster + 2
     block_touched = rng.random((n_lines, n_blocks)) < density
     shift = rng.integers(0, cluster, size=n_lines)
-    block_of_unit = (
-        np.arange(n_units)[None, :] + shift[:, None]
-    ) // cluster
-    return np.take_along_axis(block_touched, block_of_unit, axis=1)
+    # Unit u of a line lies in block (u + shift) // cluster: spread each
+    # block over its ``cluster`` units and read a window at the phase.
+    units = np.repeat(block_touched, cluster, axis=1)
+    windows = sliding_window_view(units, n_units, axis=1)
+    return windows[np.arange(n_lines), shift]
 
 
 def make_line_pair(
@@ -109,21 +117,20 @@ def make_line_pair(
     old = make_line_block(kind, rng, n_lines, line_size)
     if n_lines == 0:
         return old, old.copy()
-    unit = model["unit"]
-    n_units = line_size // unit
+    word = np.dtype(f"<u{model['unit']}")
+    n_units = line_size // word.itemsize
     touched = _clustered_mask(
         rng, n_lines, n_units, model["cluster"], model["density"]
     )
-    pattern = np.asarray(model["pattern"], dtype=bool)
-    byte_mask = touched[:, :, None] & pattern[None, None, :]
+    mask = np.where(touched, word.type(model["pattern"]), word.type(0))
     if model["full_frac"]:
         full = touched & (rng.random(touched.shape) < model["full_frac"])
-        byte_mask |= full[:, :, None]
-    byte_mask = byte_mask.reshape(n_lines, line_size)
-    new = old.copy()
+        mask[full] = np.iinfo(word).max
     fresh = rng.integers(0, 256, size=(n_lines, line_size), dtype=np.uint8)
-    new[byte_mask] = fresh[byte_mask]
-    return old, new
+    # Bitwise select per word: masked bits from ``fresh``, the rest old.
+    old_words = old.view(word)
+    new = old_words ^ ((old_words ^ fresh.view(word)) & mask)
+    return old, new.view(np.uint8)
 
 
 def _int_words(rng: np.random.Generator, shape) -> np.ndarray:

@@ -7,9 +7,43 @@ from hypothesis import strategies as st
 from repro.pcm.cells import changed_cells
 from repro.pcm.drift import DriftModel
 from repro.rng import make_rng
+from repro.trace.synthetic import data
 from repro.trace.synthetic.data import LINE_KINDS, make_line_block, make_line_pair
 
 MODEL = DriftModel()
+
+#: Which bytes of a touched value unit change, per kind (little-endian).
+_BYTE_PATTERNS = {
+    "int": (1, 0, 0, 0),
+    "fp": (1, 1, 1, 1, 1, 0, 0, 0),
+    "random": (1,) * 8,
+}
+
+
+def byte_mask_pair(kind, rng, n_lines, line_size):
+    """Reference version pairs: a per-byte boolean mask and a fancy-index
+    assignment, with the same RNG draws as ``make_line_pair``."""
+    model = data._DELTA_MODELS[kind]
+    old = make_line_block(kind, rng, n_lines, line_size)
+    if n_lines == 0:
+        return old, old.copy()
+    pattern = np.asarray(_BYTE_PATTERNS[kind], dtype=bool)
+    n_units = line_size // pattern.size
+    cluster = max(1, min(model["cluster"], n_units))
+    n_blocks = n_units // cluster + 2
+    block_touched = rng.random((n_lines, n_blocks)) < model["density"]
+    shift = rng.integers(0, cluster, size=n_lines)
+    block_of_unit = (np.arange(n_units)[None, :] + shift[:, None]) // cluster
+    touched = np.take_along_axis(block_touched, block_of_unit, axis=1)
+    byte_mask = touched[:, :, None] & pattern[None, None, :]
+    if model["full_frac"]:
+        full = touched & (rng.random(touched.shape) < model["full_frac"])
+        byte_mask |= full[:, :, None]
+    byte_mask = byte_mask.reshape(n_lines, line_size)
+    new = old.copy()
+    fresh = rng.integers(0, 256, size=(n_lines, line_size), dtype=np.uint8)
+    new[byte_mask] = fresh[byte_mask]
+    return old, new
 
 
 class TestDriftProperties:
@@ -76,3 +110,21 @@ class TestLineModelProperties:
             changed_cells(old[i], new[i], 2).size for i in range(16)
         )
         assert total > 0  # writes change something, in aggregate
+
+    @given(
+        kind=st.sampled_from(LINE_KINDS),
+        seed=st.integers(0, 500),
+        n=st.integers(0, 40),
+        line_size=st.sampled_from([8, 16, 64, 128, 256]),
+    )
+    @settings(max_examples=120)
+    def test_pair_matches_byte_mask_reference(self, kind, seed, n, line_size):
+        """Word-level select == per-byte mask, and the generator ends in
+        the same state."""
+        rng_a, rng_b = make_rng(seed, "p"), make_rng(seed, "p")
+        old, new = make_line_pair(kind, rng_a, n, line_size)
+        ref_old, ref_new = byte_mask_pair(kind, rng_b, n, line_size)
+        assert old.dtype == new.dtype == np.uint8
+        assert old.shape == new.shape == ref_new.shape
+        assert (old == ref_old).all() and (new == ref_new).all()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
