@@ -197,6 +197,10 @@ class Gateway:
         self.jobs = max(1, jobs)
         self.batch_max = max(1, batch_max)
         self.memory_cache_limit = memory_cache_limit
+        #: Wire form of each request's last memory hit, with the cached
+        #: result it was built from (see :meth:`_memory_wire`).
+        self._wire_memo: Dict[SimRequest, Tuple[object,
+                                                Dict[str, object]]] = {}
         #: Cohort batching mode for in-process dispatches (``serve
         #: --batching``): coalesced cold misses that share simulation
         #: structure execute together (see docs/performance.md).
@@ -669,6 +673,7 @@ class Gateway:
         excess = len(_SIM_CACHE) - self.memory_cache_limit
         if excess <= 0:
             return
+        self._wire_memo.clear()
         for key in list(_SIM_CACHE)[:excess]:
             del _SIM_CACHE[key]
         log.debug("evicted %d least-recently-used in-memory results "
@@ -731,8 +736,23 @@ class Gateway:
                            "scheme": request.scheme}) as span:
             result, source = await self._resolve_run(request)
             span.setdefault("attrs", {})["source"] = source
+        if source == "memory":
+            return self._memory_wire(sim_request, fingerprint, result)
         return SimResponse(sim_request, fingerprint, source,
                            result).to_wire()
+
+    def _memory_wire(self, sim_request: SimRequest, fingerprint: str,
+                     result) -> Dict[str, object]:
+        """The wire form of a memory hit, reused while the request's
+        cached result is the same object: a warm repeat is answered
+        without digesting the result again. Trimming the memory cache
+        drops the memo, so it never keeps an evicted result alive."""
+        memo = self._wire_memo.get(sim_request)
+        if memo is None or memo[0] is not result:
+            wire = SimResponse(sim_request, fingerprint, "memory",
+                               result).to_wire()
+            memo = self._wire_memo[sim_request] = (result, wire)
+        return dict(memo[1])
 
     async def _handle_experiment(self, body: object) -> Dict[str, object]:
         exp_request = ExperimentRequest.from_wire(body)

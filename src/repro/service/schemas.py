@@ -20,6 +20,7 @@ fan the *same* error object out to every waiter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -209,7 +210,11 @@ class SimRequest:
         return cls(workload=workload, scheme=scheme,
                    scale=_scale_from(body), seed=seed, kernel=kernel)
 
+    @functools.lru_cache(maxsize=4096)
     def to_run_request(self) -> RunRequest:
+        """The canonical run this request names. Equal requests share
+        one :class:`RunRequest`, so a repeat neither rebuilds the
+        configuration nor digests its fingerprint again."""
         config = baseline_config(seed=self.seed)
         if self.kernel is not None and self.kernel != config.kernel:
             config = config.with_kernel(self.kernel)

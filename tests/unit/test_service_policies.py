@@ -1,5 +1,5 @@
-"""Service-layer policy units: LRU result-cache trimming, the
-admission EWMA's sample hygiene, the Retry-After clamp, cancelled-
+"""Service-layer policy units: LRU result-cache trimming, the warm
+repeat memos, the admission EWMA's sample hygiene, the Retry-After clamp, cancelled-
 waiter accounting in the coalescer, and the ``/watch`` write-side
 dead-client guard. Pure in-process tests — the gateway's HTTP
 behaviour lives in ``tests/integration/test_service_gateway``."""
@@ -19,6 +19,7 @@ from repro.service.admission import (
 )
 from repro.service.app import _WatchStreamGuard, Gateway
 from repro.service.coalescer import Coalescer
+from repro.service.schemas import SimRequest
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +68,75 @@ class TestGatewayTrimIsLRU:
         _SIM_CACHE["a"] = "a"
         gateway._trim_sim_cache()
         assert list(_SIM_CACHE) == ["a"]
+
+
+class _Stats:
+    core_instructions = (1, 2)
+    core_finish_cycles = (3, 4)
+
+    def snapshot(self):
+        return {"writes": 7}
+
+
+class _Result:
+    """Just enough of a SimResult for ``SimResponse.to_wire``; counts
+    how often it is digested."""
+
+    scheme = "fpb"
+    workload = "tig_m"
+    cycles = 100
+    cpi = 1.5
+    stats = _Stats()
+
+    def __init__(self, digest):
+        self.digest = digest
+        self.digests = 0
+
+    def result_fingerprint(self):
+        self.digests += 1
+        return self.digest
+
+
+class TestWarmRepeatMemo:
+    BODY = {"workload": "tig_m", "scheme": "fpb", "scale": "quick"}
+
+    def test_equal_requests_share_one_run_request(self):
+        first = SimRequest.from_wire(dict(self.BODY)).to_run_request()
+        again = SimRequest.from_wire(dict(self.BODY)).to_run_request()
+        other = SimRequest.from_wire(dict(self.BODY, seed=2))
+        assert again is first
+        assert other.to_run_request() is not first
+        assert other.to_run_request().fingerprint != first.fingerprint
+
+    def test_memory_wire_digests_a_result_once(self):
+        gateway = Gateway()
+        request = SimRequest.from_wire(dict(self.BODY))
+        result = _Result("r1")
+        first = gateway._memory_wire(request, "fp", result)
+        again = gateway._memory_wire(request, "fp", result)
+        assert again == first and again is not first
+        assert first["source"] == "memory"
+        assert first["result_fingerprint"] == "r1"
+        assert result.digests == 1
+
+    def test_a_new_result_object_is_digested_afresh(self):
+        gateway = Gateway()
+        request = SimRequest.from_wire(dict(self.BODY))
+        gateway._memory_wire(request, "fp", _Result("r1"))
+        wire = gateway._memory_wire(request, "fp", _Result("r2"))
+        assert wire["result_fingerprint"] == "r2"
+
+    def test_a_trim_drops_the_memo(self):
+        gateway = Gateway(memory_cache_limit=1)
+        request = SimRequest.from_wire(dict(self.BODY))
+        result = _Result("r1")
+        gateway._memory_wire(request, "fp", result)
+        for key in ("a", "b"):
+            _SIM_CACHE[key] = key
+        gateway._trim_sim_cache()
+        assert not gateway._wire_memo
+        gateway._memory_wire(request, "fp", result)
+        assert result.digests == 2
 
 
 class TestAdmissionSampleHygiene:
